@@ -18,6 +18,11 @@ BACKEND_NAME = "fast"
 
 
 def bf_rounds(object weights, object dist0, object parent0, Py_ssize_t max_rounds):
+    """Jacobi relaxation rounds, as in ``_pure.bf_rounds``.
+
+    The diagonal of ``weights`` may be 0 or +inf: a self-loop never wins the
+    strict improvement ``best < prev[t]``.
+    """
     cdef cnp.ndarray[cnp.float64_t, ndim=2] w = np.ascontiguousarray(weights, dtype=np.float64)
     cdef cnp.ndarray[cnp.float64_t, ndim=1] dist = np.array(dist0, dtype=np.float64)
     cdef cnp.ndarray[cnp.int64_t, ndim=1] parent = np.array(parent0, dtype=np.int64)

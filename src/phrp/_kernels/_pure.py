@@ -15,12 +15,13 @@ BACKEND_NAME = "pure"
 def bf_rounds(weights, dist, parent, max_rounds):
     """Run Jacobi relaxation rounds on a dense difference-constraint graph.
 
-    Edge tau -> t has weight ``weights[tau, t]``; the diagonal must be +inf.
-    Each round relaxes every node against the previous round's distances,
-    so the result is scan-order independent.  Ties keep the lowest tau.
+    Edge tau -> t has weight ``weights[tau, t]``; the diagonal may be 0 or
+    +inf, since neither can win a strict improvement.  Each round relaxes
+    every node against the previous round's distances, so the result is
+    scan-order independent.  Ties keep the lowest tau.
 
     Args:
-        weights: (T, T) float64 with +inf on the diagonal.
+        weights: (T, T) float64 with 0 or +inf on the diagonal.
         dist: (T,) float64 starting potentials (virtual source = 0).
         parent: (T,) int64 predecessor array (-1 where never improved).
         max_rounds: maximum number of full rounds to run.

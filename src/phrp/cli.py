@@ -7,7 +7,7 @@ and writes a JSON report.  Exit codes are scripting-friendly:
 * 1 - INFEASIBLE / NOT SEPARABLE
 * 2 - UNDECIDED (also: class-number with an undecided k below the accepted one)
 * 3 - class-number budget exhausted
-* 10 - usage errors, 11 - input/output errors
+* 10 - usage errors, 11 - input/output errors, 12 - internal errors (a defect)
 
 Reports are deterministic given (input, flags, seed) except for the
 ``timings`` subtree, and validate against the packaged ``report.schema.json``.
@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from importlib import resources
 from pathlib import Path
 
@@ -34,6 +35,7 @@ EXIT_UNDECIDED = 2
 EXIT_NOT_FOUND = 3
 EXIT_USAGE = 10
 EXIT_IO = 11
+EXIT_INTERNAL = 12
 
 _STATUS_EXIT = {
     model.Status.FEASIBLE: EXIT_FEASIBLE,
@@ -349,6 +351,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_IO
+    except Exception as exc:  # any other exception is a defect, never a verdict
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     report["timings"] = {"wall_ms": (time.perf_counter() - started) * 1e3}
     try:
         _emit(report, args.output)

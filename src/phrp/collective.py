@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels, convex
-from .harp import check_harp, verify_certificate
+from . import convex
+from .harp import build_cross_graph, check_harp, shortest_potentials, verify_certificate
 from .model import Decision, MarketStatistics, Status
 
 _MAIN_MARGIN = 1e-7  # interior margin imposed on per-consumer constraints
@@ -250,25 +250,14 @@ def _extract_allocation(
     return alloc if verify_allocation(stats, alloc) else None
 
 
-def _capped_potentials(weights: NDArray[np.float64]) -> NDArray[np.float64]:
-    T = weights.shape[0]
-    if T == 1:
-        return np.zeros(1)
-    w = weights.copy()
-    np.fill_diagonal(w, np.inf)
-    dist, _, _, _ = _kernels.bf_rounds(w, np.zeros(T), np.full(T, -1, dtype=np.int64), T)
-    return dist
-
 def _start_lambdas(stats: MarketStatistics, sub_q: NDArray[np.float64]):
-    """Capped shortest-path potentials per consumer (defined even when infeasible)."""
-    k = sub_q.shape[0]
-    T = stats.periods
-    out = np.zeros((k, T))
-    for a in range(k):
-        cross = stats.prices @ sub_q[a].T
-        logc = np.log(cross)
-        w = logc - np.diag(logc)[None, :]
-        out[a] = _capped_potentials(w)
+    """Per-consumer shortest-path labels; zeros where a consumer's split has a cycle."""
+    out = np.zeros((sub_q.shape[0], stats.periods))
+    for a, q in enumerate(sub_q):
+        graph = build_cross_graph(MarketStatistics(prices=stats.prices, quantities=q))
+        labels, _ = shortest_potentials(graph.weights)
+        if labels is not None:
+            out[a] = labels
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .. import _kernels
+from ..harp import shortest_potentials
 from ..model import Status
 from .packed import PackedProgram
 from .program import LogConvexProgram
@@ -99,33 +99,10 @@ def _difference_cycle(packed: PackedProgram) -> list[int] | None:
             found = True
     if not found:
         return None
-    dist = np.zeros(n)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist, parent, _, converged = _kernels.bf_rounds(w, dist, parent, n)
-    if converged:
+    _, cycle = shortest_potentials(w)
+    if cycle is None:
         return None
-    through = dist[:, None] + w
-    improvable = np.flatnonzero(through.min(axis=0) < dist)
-    if not improvable.size:
-        return None
-    x = int(improvable[0])
-    for _ in range(n):
-        if parent[x] < 0:
-            return None
-        x = int(parent[x])
-    seen: dict[int, int] = {}
-    order: list[int] = []
-    while x not in seen:
-        seen[x] = len(order)
-        order.append(x)
-        if parent[x] < 0:
-            return None
-        x = int(parent[x])
-    cycle = order[seen[x]:]
-    total = 0.0
-    back = cycle + [cycle[0]]
-    for u, v in zip(back[1:], back[:-1]):  # edges parent -> child
-        total += w[u, v] if np.isfinite(w[u, v]) else 0.0
+    total = sum(w[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     return cycle if total < -1e-12 else None
 
 

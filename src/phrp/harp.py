@@ -160,28 +160,6 @@ def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
     return e / e.sum()
 
 
-def _trace_cycle(parent: NDArray[np.int64], start: int, limit: int) -> list[int] | None:
-    """Follow predecessors from ``start`` and return a forward cycle, if any."""
-    x = int(start)
-    for _ in range(limit):
-        if parent[x] < 0:
-            return None
-        x = int(parent[x])
-    seen: dict[int, int] = {}
-    order: list[int] = []
-    while x not in seen:
-        seen[x] = len(order)
-        order.append(x)
-        nxt = int(parent[x])
-        if nxt < 0:
-            return None
-        x = nxt
-    backward = order[seen[x]:]
-    forward = list(reversed(backward))
-    pivot = forward.index(min(forward))
-    return forward[pivot:] + forward[:pivot]
-
-
 def _cycle_stats(
     cycle: list[int], weights: NDArray[np.float64], cross: NDArray[np.float64]
 ) -> tuple[float, float]:
@@ -196,45 +174,52 @@ def _cycle_stats(
     return log_weight, ratio
 
 
+def _parent_cycle(parent: NDArray[np.int64]) -> list[int] | None:
+    """A cycle of the parent graph in forward order from its smallest node, or None."""
+    T = parent.size
+    # roots point at an extra sink node T; after T or more pointer jumps every
+    # node sits either at the sink or on a cycle, and every cycle node is hit
+    jump = np.append(np.where(parent < 0, T, parent), T)
+    for _ in range(T.bit_length()):
+        jump = jump[jump]
+    on_cycle = jump[:T][jump[:T] < T]
+    if not on_cycle.size:
+        return None
+    start = int(on_cycle.min())
+    backward = [start]
+    x = int(parent[start])
+    while x != start:
+        backward.append(x)
+        x = int(parent[x])
+    return [start] + backward[:0:-1]
+
+
 def shortest_potentials(
     weights: NDArray[np.float64],
-) -> tuple[NDArray[np.float64] | None, list[int] | None, float]:
-    """Solve the difference-constraint system ``d_t - d_tau <= w[tau, t]``.
+) -> tuple[NDArray[np.float64] | None, list[int] | None]:
+    """Solve ``d_t - d_tau <= w[tau, t]`` or find a negative cycle.
 
-    Returns (potentials, cycle, cycle_log_weight).  Exactly one of
-    potentials / cycle is non-None, except for pathological float cases where
-    both can be None (caller should treat that as undecided).  The reported
-    cycle is the most negative one found over a bounded number of extra
-    relaxation batches.
+    ``weights`` is a (T, T) matrix whose diagonal is 0 or +inf.  Jacobi
+    rounds start from the all-zero labels (a virtual source); after each
+    round that still improves, the parent graph is searched for a cycle.
+
+    Returns (labels, None) once a round settles, else (None, cycle) for the
+    first parent cycle found, in forward order from its smallest period.  A
+    node that improves in round k has a parent that improved in round k - 1,
+    so an improvement in round T + 1 implies a parent cycle: one of the two
+    is always returned.
     """
     T = weights.shape[0]
-    if T == 1:
-        return np.zeros(1), None, 0.0
-    w_relax = weights.copy()
-    np.fill_diagonal(w_relax, np.inf)
     dist = np.zeros(T)
     parent = np.full(T, -1, dtype=np.int64)
-    dist, parent, _, converged = _kernels.bf_rounds(w_relax, dist, parent, T)
-    if converged:
-        return dist, None, 0.0
-    best_cycle: list[int] | None = None
-    best_weight = np.inf
-    for _ in range(3):
-        through = dist[:, None] + w_relax
-        improvable = np.flatnonzero(through.min(axis=0) < dist)
-        if improvable.size:
-            cycle = _trace_cycle(parent, int(improvable[0]), T)
-            if cycle is not None:
-                lw = float(sum(weights[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])))
-                if lw < best_weight:
-                    best_weight = lw
-                    best_cycle = cycle
-        dist, parent, _, converged = _kernels.bf_rounds(w_relax, dist, parent, T)
-        if converged:
-            break
-    if best_cycle is None:
-        return None, None, 0.0
-    return None, best_cycle, best_weight
+    for _ in range(T + 1):
+        dist, parent, _, settled = _kernels.bf_rounds(weights, dist, parent, 1)
+        if settled:
+            return dist, None
+        cycle = _parent_cycle(parent)
+        if cycle is not None:
+            return None, cycle
+    raise AssertionError("round T + 1 improved, so the parent graph must hold a cycle")
 
 
 def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
@@ -259,9 +244,9 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             certificate=cert,
         )
     graph = build_cross_graph(stats)
-    potentials, cycle, cycle_weight = shortest_potentials(graph.weights)
-    if potentials is not None:
-        cert = AfriatCertificate(_softmax(potentials))
+    labels, cycle = shortest_potentials(graph.weights)
+    if cycle is None:
+        cert = AfriatCertificate(_softmax(labels))
         if not verify_certificate(stats, cert, tol=max(tol, 1e-9)):
             return HarpResult(
                 Decision(Status.UNDECIDED, detail="potentials failed re-verification")
@@ -270,14 +255,13 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             Decision(Status.FEASIBLE, detail="shortest-path potentials found"),
             certificate=cert,
         )
-    if cycle is None:
-        return HarpResult(
-            Decision(Status.UNDECIDED, detail="relaxation did not stabilize")
-        )
     log_weight, ratio = _cycle_stats(cycle, graph.weights, graph.cross_expenditures)
-    if log_weight >= 0.0:
+    if not (log_weight < 0.0 and ratio < 1.0):
         return HarpResult(
-            Decision(Status.UNDECIDED, detail="extracted cycle is not negative")
+            Decision(
+                Status.UNDECIDED,
+                detail=f"cycle {tuple(cycle)} has ratio {ratio:.17g}, not below 1",
+            )
         )
     witness = ViolationCycle(
         periods=tuple(cycle) + (cycle[0],), log_weight=log_weight, cycle_ratio=ratio
@@ -293,7 +277,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
     return HarpResult(
         Decision(
             Status.UNDECIDED,
-            detail=f"most negative cycle weight {log_weight:.3e} within tolerance band",
+            detail=f"cycle weight {log_weight:.3e} within tolerance band",
         ),
         cycle=witness,
     )

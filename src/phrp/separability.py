@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
-from . import _kernels, convex
+from . import convex
 from .harp import PiecewiseLinearUtility, check_harp, shortest_potentials
 from .model import Decision, PartitionedStatistics, Status
 
@@ -202,26 +202,19 @@ def _mu_log_weights(inst: SeparabilityInstance, lam: NDArray[np.float64]):
     """Difference-constraint weights for log(mu): w[tau, t] bounds mu_t - mu_tau."""
     log_lam = np.log(lam)
     mix = lam[:, None] * inst.pq + (lam * np.diag(inst.xy))[None, :]
-    return np.log(mix) - log_lam[:, None] - np.log(inst.expenditures)[None, :]
+    w = np.log(mix) - log_lam[:, None] - np.log(inst.expenditures)[None, :]
+    np.fill_diagonal(w, 0.0)  # exact zero self-loops; the log form can leave -1e-16
+    return w
 
 
 def _resolve_mus(
     inst: SeparabilityInstance, lam: NDArray[np.float64]
 ) -> NDArray[np.float64] | None:
     """Exact mu recovery for fixed lam via shortest-path potentials."""
-    potentials, cycle, _ = shortest_potentials(_mu_log_weights(inst, lam))
-    if potentials is None:
+    labels, _ = shortest_potentials(_mu_log_weights(inst, lam))
+    if labels is None:
         return None
-    return np.exp(potentials - potentials.max())
-
-
-def _capped_mu_start(inst, lam) -> NDArray[np.float64]:
-    w = _mu_log_weights(inst, lam)
-    T = w.shape[0]
-    w = w.copy()
-    np.fill_diagonal(w, np.inf)
-    dist, _, _, _ = _kernels.bf_rounds(w, np.zeros(T), np.full(T, -1, dtype=np.int64), T)
-    return dist - dist.max()
+    return np.exp(labels - labels.max())
 
 
 def _normalized_log(lam_log: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -305,7 +298,7 @@ def _certificate_search(inst, starts, tol_verify, max_rounds=40):
     """
     for lam_log0 in starts:
         lam_log = _normalized_log(np.asarray(lam_log0, dtype=np.float64))
-        mu_log = _capped_mu_start(inst, np.exp(lam_log))
+        mu_log = None
         prev_obj = np.inf
         stagnant = 0
         for _ in range(max_rounds):
@@ -316,6 +309,8 @@ def _certificate_search(inst, starts, tol_verify, max_rounds=40):
                 inst, lam, mus, tol_verify
             ):
                 return lam, mus
+            if mu_log is None:  # the first mu start: the exact labels, if any
+                mu_log = np.zeros(inst.periods) if mus is None else np.log(mus)
             prog, lam_vars, mu_vars = _ccp_round_program(inst, lam_log, mu_log)
             res = convex.solve(prog, eps_feas=1e-9, max_iter=20_000)
             new_lam = _normalized_log(res.point[: len(lam_vars)])
@@ -398,11 +393,8 @@ def check_separability(
         )
 
     starts = [sol.point[:T]]
-    y_potentials, _, _ = shortest_potentials(
-        _y_weights(inst) if T > 1 else np.zeros((1, 1))
-    )
-    if y_potentials is not None:
-        starts.append(y_potentials)
+    if y_res.certificate is not None:
+        starts.append(np.log(y_res.certificate.lambdas))
     found = (
         _certificate_search(inst, starts, tol_verify=1e-8)
         if sol.objective <= tol_accept
@@ -430,13 +422,6 @@ def check_separability(
             else f"slack optimum {sol.objective:.3e} inside the ambiguity band",
         )
     )
-
-
-def _y_weights(inst: SeparabilityInstance) -> NDArray[np.float64]:
-    log_xy = np.log(inst.xy)
-    w = log_xy - np.diag(log_xy)[None, :]
-    np.fill_diagonal(w, 0.0)
-    return w
 
 
 def reconstruct_subutility(

@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+from phrp import harp
 from phrp.cli import main, report_schema
 from phrp.model import save_statistics
 
@@ -68,6 +69,16 @@ class TestHarpCommand:
     def test_usage_error_exit_10(self, capsys):
         assert main(["harp"]) == 10
         assert "usage" in capsys.readouterr().err
+
+    def test_internal_error_exit_12(self, tmp_path, feasible_csv, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(harp, "check_harp", broken)
+        code, report = _run(tmp_path, ["harp", "--input", str(feasible_csv)])
+        assert code == 12
+        assert report is None
+        assert "internal error: ValueError: boom" in capsys.readouterr().err
 
 
 class TestSeparabilityCommand:

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cd
+from phrp import _kernels
 from phrp.harp import (
     AfriatCertificate,
     InvalidCertificateError,
     PiecewiseLinearUtility,
+    _parent_cycle,
     build_cross_graph,
     check_harp,
     recover_utility,
+    shortest_potentials,
     verify_certificate,
 )
 from phrp.model import MarketStatistics, Status
@@ -82,6 +85,19 @@ class TestCheckHarp:
         # a coarser tolerance cannot flip it to INFEASIBLE either
         assert check_harp(stats, tol=1e-3).status is not Status.INFEASIBLE
 
+    def test_tight_single_good_never_raises(self):
+        # every cycle ratio is exactly 1, so rounding decides the sign of a
+        # cycle's weight; the truth is FEASIBLE with lam_t proportional to 1/p_t
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            stats = _single_good(rng, 5)
+            result = check_harp(stats)
+            assert result.status in (Status.FEASIBLE, Status.UNDECIDED)
+            if result.status is Status.FEASIBLE:
+                assert verify_certificate(stats, result.certificate)
+            if result.cycle is not None:
+                assert result.cycle.cycle_ratio < 1.0
+
     def test_duplicate_periods_kept(self, feasible2):
         doubled = MarketStatistics(
             prices=np.vstack([feasible2.prices, feasible2.prices]),
@@ -97,6 +113,140 @@ class TestCheckHarp:
         result = check_harp(stats)
         assert result.status is Status.FEASIBLE
         assert verify_certificate(stats, result.certificate)
+
+
+def _single_good(rng, periods):
+    """Every cycle ratio is exactly 1: prices p_t and quantities 1/p_t."""
+    prices = rng.uniform(0.5, 2.0, (periods, 1))
+    return MarketStatistics(prices=prices, quantities=1.0 / prices)
+
+
+def _uniform(rng, periods, goods):
+    return MarketStatistics(
+        prices=rng.uniform(0.5, 2.0, (periods, goods)),
+        quantities=rng.uniform(0.5, 2.0, (periods, goods)),
+    )
+
+
+def _labels_or_cycle(weights):
+    """Run the routine and check that it returned exactly one valid witness."""
+    labels, cycle = shortest_potentials(weights)
+    T = weights.shape[0]
+    if cycle is None:
+        assert labels.shape == (T,)
+        # every constraint d_t - d_tau <= w[tau, t], exactly as relaxation compares
+        assert np.all(labels[:, None] + weights >= labels[None, :])
+    else:
+        assert labels is None
+        assert len(cycle) >= 2 and len(set(cycle)) == len(cycle)
+        assert all(0 <= t < T for t in cycle)
+        assert cycle[0] == min(cycle)
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert all(np.isfinite(weights[a, b]) for a, b in edges)
+    return labels, cycle
+
+
+def _cycle_weight(weights, cycle):
+    return sum(weights[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def _dense_graph(seed, diagonal):
+    """Reduced costs phi_t - phi_tau plus uniform noise.  Every third seed has
+    nonnegative noise, so no negative cycle; on the others the noise dips
+    below zero and makes one."""
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(2, 40))
+    phi = rng.normal(0.0, 3.0, T)
+    weights = phi[None, :] - phi[:, None] + rng.uniform(-0.1 * (seed % 3), 1.0, (T, T))
+    np.fill_diagonal(weights, diagonal)
+    return weights
+
+
+def _walk_cycle(parent):
+    """Reference for the pointer-jumping search: walk from every node in turn."""
+    T = parent.size
+    on_cycle = set()
+    for start in range(T):
+        x = start
+        for _ in range(T):
+            if parent[x] < 0:
+                break
+            x = int(parent[x])
+        else:
+            on_cycle.add(x)
+            y = int(parent[x])
+            while y != x:
+                on_cycle.add(y)
+                y = int(parent[y])
+    if not on_cycle:
+        return None
+    backward = [min(on_cycle)]
+    while int(parent[backward[-1]]) != backward[0]:
+        backward.append(int(parent[backward[-1]]))
+    return [backward[0]] + backward[:0:-1]
+
+
+class TestShortestPotentials:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_parent_cycle_matches_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 50))
+        parent = rng.integers(0, T, T)
+        parent[rng.random(T) < 0.2 * (seed % 4)] = -1
+        parent[parent == np.arange(T)] = -1  # relaxation never makes a self-loop
+        assert _parent_cycle(parent) == _walk_cycle(parent)
+
+    @pytest.mark.parametrize("diagonal", [0.0, np.inf])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_dense_graphs(self, seed, diagonal):
+        weights = _dense_graph(seed, diagonal)
+        _, cycle = _labels_or_cycle(weights)
+        assert (cycle is None) == (seed % 3 == 0)
+        if cycle is not None:
+            assert _cycle_weight(weights, cycle) < 0.0
+
+    @pytest.mark.parametrize("periods", [2, 5, 30, 120])
+    def test_tight_single_good_graphs(self, periods):
+        rng = np.random.default_rng(periods)
+        for _ in range(20):
+            _labels_or_cycle(build_cross_graph(_single_good(rng, periods)).weights)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_cross_graphs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        stats = _uniform(rng, int(rng.integers(2, 60)), int(rng.integers(2, 6)))
+        graph = build_cross_graph(stats)
+        _, cycle = _labels_or_cycle(graph.weights)
+        if cycle is not None:
+            assert _cycle_weight(graph.weights, cycle) < 0.0
+
+    def test_single_node(self):
+        labels, cycle = shortest_potentials(np.zeros((1, 1)))
+        np.testing.assert_array_equal(labels, [0.0])
+        assert cycle is None
+
+    def test_cycle_in_forward_order_from_smallest(self):
+        # the only negative cycle is 1 -> 3 -> 2 -> 1
+        weights = np.full((4, 4), 1.0)
+        np.fill_diagonal(weights, 0.0)
+        weights[1, 3] = weights[3, 2] = weights[2, 1] = -1.0
+        assert shortest_potentials(weights) == (None, [1, 3, 2])
+
+    def test_stops_at_first_cycle(self, monkeypatch):
+        # the harp-infeasible benchmark instances: T = 300, ten uniform goods
+        stats = _uniform(np.random.default_rng(7), 300, 10)
+        calls = []
+        real = _kernels.bf_rounds
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "bf_rounds", counted)
+        result = check_harp(stats)
+        assert result.status is Status.INFEASIBLE
+        assert set(calls) == {1}
+        assert len(calls) <= 10
 
 
 class TestInvariances:
