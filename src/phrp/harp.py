@@ -291,7 +291,9 @@ def verify_certificate(
     """Check all T^2 cross-expenditure inequalities at relative tolerance tol.
 
     Also requires the multipliers to be strictly positive and to sum to 1
-    within 1e-9.
+    within 1e-9, and every cross expenditure to be finite and strictly
+    positive: after overflow to inf or underflow to 0, ``inf <= inf`` and
+    ``0 <= 0`` would pass.
     """
     lam = cert.lambdas if isinstance(cert, AfriatCertificate) else np.asarray(cert, float)
     if lam.ndim != 1 or lam.size != stats.periods:
@@ -301,8 +303,11 @@ def verify_certificate(
     if abs(float(lam.sum()) - 1.0) > 1e-9:
         return False
     cross = stats.cross_expenditures()
+    if not 0.0 < cross.min() <= cross.max() < np.inf:
+        return False
     own = lam * np.diag(cross)  # own[t] = lam_t p^t.q^t
-    cheapest = (lam[:, None] * cross).min(axis=0)  # min_tau lam_tau p^tau.q^t
+    cross *= lam[:, None]  # in place: cross is a fresh array, and T x T is large
+    cheapest = cross.min(axis=0)  # min_tau lam_tau p^tau.q^t
     return bool(np.all(own <= cheapest * (1.0 + tol)))
 
 

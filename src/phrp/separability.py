@@ -7,19 +7,24 @@ of the y-goods.  This holds iff positive multipliers (lam, mu) satisfy
     (a)  lam_t (x^t.y^t) <= lam_tau (x^tau.y^t)
     (b)  mu_t lam_tau E^t <= mu_tau (lam_tau (p^tau.q^t) + lam_t (x^t.y^t))
 
-for all t, tau, with sum_t lam_t = 1, where E^t is total expenditure.  The
-decision pipeline combines three mechanisms:
+for all t, tau, with sum_t lam_t = 1, where E^t is total expenditure.  For
+fixed multipliers ``lam``, system (b) is a difference-constraint system in
+log(mu), solved exactly by shortest paths.  The decision pipeline combines
+four mechanisms:
 
   * exact necessary checks (the y-block and the full data must each pass the
     homogeneous rationalizability test);
-  * the log-domain slack-minimization program built from (a)-(b), whose
-    certified infeasibility or positive optimum rejects;
-  * a verified-certificate search: for fixed multipliers ``lam``, system (b)
-    is again a difference-constraint system in log(mu), solved exactly by
-    shortest paths, and ``lam`` itself is improved by a deterministic
-    sequence of inner linearizations of (b).  Acceptance always re-validates
-    (a)-(b) directly, so a SEPARABLE verdict never rests on solver status
-    alone.
+  * an exact start: ``lam`` = the y-block certificate, which satisfies (a) by
+    construction, with the shortest-path mu; when the pair verifies, the
+    verdict is SEPARABLE and no program is built;
+  * otherwise the log-domain slack-minimization program built from (a)-(b),
+    whose certified infeasibility or positive optimum rejects;
+  * and a verified-certificate search, which improves ``lam`` by a
+    deterministic sequence of inner linearizations of (b), resolving mu
+    exactly at every iterate.
+
+Acceptance always re-validates (a)-(b) directly, so a SEPARABLE verdict never
+rests on solver status alone.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ class SeparabilityInstance:
     @property
     def periods(self) -> int:
         return self.xy.shape[0]
+
+    @property
+    def finite_positive(self) -> bool:
+        """Every cross expenditure is finite and strictly positive (no over/underflow)."""
+        return all(0.0 < a.min() <= a.max() < np.inf for a in (self.xy, self.pq))
 
 
 @dataclass(frozen=True)
@@ -178,12 +188,14 @@ def verify_separability_solution(
 
     Callers should renormalize lambdas to sum 1 first; both families of
     inequalities are invariant to a common rescaling of lam or of mu, so the
-    normalization itself is not rechecked here.
+    normalization itself is not rechecked here.  Cross expenditures that
+    overflowed to inf or underflowed to 0 fail: ``inf <= inf`` and ``0 <= 0``
+    would otherwise pass.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     mu = np.asarray(mus, dtype=np.float64)
     T = inst.periods
-    if lam.shape != (T,) or mu.shape != (T,):
+    if lam.shape != (T,) or mu.shape != (T,) or not inst.finite_positive:
         return False
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
         return False
@@ -215,6 +227,14 @@ def _resolve_mus(
     if labels is None:
         return None
     return np.exp(labels - labels.max())
+
+
+def _resolve_and_verify(
+    inst: SeparabilityInstance, lam: NDArray[np.float64], tol: float
+) -> tuple[NDArray[np.float64] | None, bool]:
+    """The exact mu for fixed lam, and whether (lam, mu) passes verification at tol."""
+    mus = _resolve_mus(inst, lam)
+    return mus, mus is not None and verify_separability_solution(inst, lam, mus, tol)
 
 
 def _normalized_log(lam_log: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -304,10 +324,8 @@ def _certificate_search(inst, starts, tol_verify, max_rounds=40):
         for _ in range(max_rounds):
             lam = np.exp(lam_log)
             lam = lam / lam.sum()
-            mus = _resolve_mus(inst, lam)
-            if mus is not None and verify_separability_solution(
-                inst, lam, mus, tol_verify
-            ):
+            mus, verified = _resolve_and_verify(inst, lam, tol_verify)
+            if verified:
                 return lam, mus
             if mu_log is None:  # the first mu start: the exact labels, if any
                 mu_log = np.zeros(inst.periods) if mus is None else np.log(mus)
@@ -326,10 +344,20 @@ def _certificate_search(inst, starts, tol_verify, max_rounds=40):
                 break
         lam = np.exp(lam_log)
         lam = lam / lam.sum()
-        mus = _resolve_mus(inst, lam)
-        if mus is not None and verify_separability_solution(inst, lam, mus, tol_verify):
+        mus, verified = _resolve_and_verify(inst, lam, tol_verify)
+        if verified:
             return lam, mus
     return None
+
+
+def _separable(part, lam, mus, optimum, detail) -> SeparabilityResult:
+    return SeparabilityResult(
+        decision=Decision(Status.FEASIBLE, optimum=optimum, detail=detail),
+        lambdas=lam,
+        mus=mus,
+        subutility=reconstruct_subutility(lam, part.y_prices),
+        macro=reconstruct_macro_utility(mus, lam, part.q_prices),
+    )
 
 
 def check_separability(
@@ -339,15 +367,25 @@ def check_separability(
 ) -> SeparabilityResult:
     """Decide complete PH-separability of the partition.
 
-    SEPARABLE requires both a slack optimum <= tol_accept and multipliers
-    that pass direct verification; NOT_SEPARABLE requires an exact necessary
-    check to fail or the program to be certifiably infeasible / bounded away
-    from zero; anything in between is UNDECIDED.
+    SEPARABLE requires multipliers that pass direct verification at 1e-8.
+    They come from the exact start (the y-block certificate with the
+    shortest-path mu; ``optimum`` is then None, as no program is solved) or
+    else from the certificate search after a slack optimum <= tol_accept.
+    NOT_SEPARABLE requires an exact necessary check to fail or the program
+    to be certifiably infeasible / bounded away from zero.  Anything in
+    between, and data whose cross expenditures overflow or underflow, is
+    UNDECIDED.
     """
     if not 0.0 < tol_accept < tol_reject:
         raise ValueError("need 0 < tol_accept < tol_reject")
     inst = SeparabilityInstance.from_partition(part)
     T = inst.periods
+    if not inst.finite_positive:
+        return SeparabilityResult(
+            decision=Decision(
+                Status.UNDECIDED, detail="cross expenditures overflow or underflow"
+            )
+        )
 
     y_res = check_harp(part.y_statistics())
     if y_res.status is Status.INFEASIBLE:
@@ -372,6 +410,13 @@ def check_separability(
             ),
             violated_constraints=(f"full-cycle{periods}",),
         )
+
+    if y_res.certificate is not None:
+        lam = y_res.certificate.lambdas
+        mus, verified = _resolve_and_verify(inst, lam, 1e-8)
+        if verified:
+            detail = "exact start: y-block certificate and shortest-path mu verified"
+            return _separable(part, lam, mus, None, detail)
 
     prog = build_separability_program(inst)
     sol = convex.solve(prog)
@@ -402,17 +447,7 @@ def check_separability(
     )
     if found is not None:
         lam, mus = found
-        return SeparabilityResult(
-            decision=Decision(
-                Status.FEASIBLE,
-                optimum=sol.objective,
-                detail="verified multipliers found",
-            ),
-            lambdas=lam,
-            mus=mus,
-            subutility=reconstruct_subutility(lam, part.y_prices),
-            macro=reconstruct_macro_utility(mus, lam, part.q_prices),
-        )
+        return _separable(part, lam, mus, sol.objective, "verified multipliers found")
     return SeparabilityResult(
         decision=Decision(
             Status.UNDECIDED,

@@ -89,3 +89,15 @@ def embed_bad_y_block(seed: int, periods: int = 4, q_goods: int = 2):
         quantities=np.hstack([q_quant, y_quant]),
     )
     return partition(stats, [q_goods, q_goods + 1])
+
+
+def rescaled_infeasible(factor: float) -> MarketStatistics:
+    """An infeasible T=5, n=3 instance with every price and quantity times factor.
+
+    Cycle ratios do not change, so the truth stays INFEASIBLE; at 1e160 and
+    1e200 the cross expenditures overflow to inf, at 1e-200 they underflow to 0.
+    """
+    rng = np.random.default_rng(30160)
+    prices = rng.uniform(0.5, 2.0, (5, 3))
+    quantities = rng.uniform(0.5, 2.0, (5, 3))
+    return MarketStatistics(prices=prices * factor, quantities=quantities * factor)

@@ -102,14 +102,19 @@ class TestSeparabilityCommand:
              "--periods", "5", "--seed", "4", "--out", str(csv),
              "--output", str(tmp_path / "gen.json")]
         ) == 0
-        code, report = _run(
-            tmp_path, ["separability", "--input", str(csv), "--y-cols", "3,4"]
-        )
+        args = ["separability", "--input", str(csv), "--y-cols", "3,4"]
+        code, report = _run(tmp_path, args)
         assert code == 0
         _validate(report)
         assert report["status"] == "FEASIBLE"
+        assert report["optimum"] is None  # the exact start verified; no program solved
         assert report["lambdas"] is not None
         assert report["violated_constraints"] == []
+        code2, report2 = _run(tmp_path, args, "report2.json")
+        assert code2 == code
+        report.pop("timings")
+        report2.pop("timings")
+        assert report == report2
 
 
 class TestCollectiveCommands:

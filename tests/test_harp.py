@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cd
+from conftest import make_cd, rescaled_infeasible
 from phrp import _kernels
 from phrp.harp import (
     AfriatCertificate,
@@ -97,6 +97,14 @@ class TestCheckHarp:
                 assert verify_certificate(stats, result.certificate)
             if result.cycle is not None:
                 assert result.cycle.cycle_ratio < 1.0
+
+    @pytest.mark.parametrize("factor", [1e160, 1e200, 1e-200])
+    def test_overflow_or_underflow_is_undecided(self, factor):
+        # the unscaled instance is INFEASIBLE; scaled, its cross expenditures
+        # overflow or underflow, so neither verdict can be certified
+        with np.errstate(all="ignore"):
+            result = check_harp(rescaled_infeasible(factor))
+        assert result.status is Status.UNDECIDED
 
     def test_duplicate_periods_kept(self, feasible2):
         doubled = MarketStatistics(
@@ -300,6 +308,15 @@ class TestVerifyCertificate:
 
     def test_nonpositive_false(self, feasible2):
         assert not verify_certificate(feasible2, np.array([1.5, -0.5]))
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_overflowed_or_underflowed_cross_false(self, feasible2, factor):
+        # every cross expenditure becomes inf (or 0), where inf <= inf (0 <= 0) holds
+        stats = MarketStatistics(
+            prices=feasible2.prices * factor, quantities=feasible2.quantities * factor
+        )
+        with np.errstate(all="ignore"):
+            assert not verify_certificate(stats, np.array([4 / 7, 3 / 7]))
 
 
 class TestRecoverUtility:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import embed_bad_y_block, make_nested
+from conftest import embed_bad_y_block, make_nested, rescaled_infeasible
 from phrp.datagen import CobbDouglasSpec, gen_nested_cd
 from phrp.harp import PiecewiseLinearUtility
 from phrp.model import MarketStatistics, Status, partition
@@ -57,11 +57,33 @@ class TestCheckSeparability:
         part = gen_nested_cd(q_spec, y_spec, (0.5, 0.5), periods=8, seed=102)
         res = check_separability(part)
         assert res.status is Status.FEASIBLE
-        assert res.decision.optimum <= 1e-6
+        # optimum is None when the exact start verified and no program was solved
+        assert res.decision.optimum is None or res.decision.optimum <= 1e-6
         inst = _instance(part)
         assert verify_separability_solution(inst, res.lambdas, res.mus)
         assert abs(res.lambdas.sum() - 1.0) < 1e-9
         assert res.mus.max() == pytest.approx(1.0)
+
+    def test_barrier_fallback(self):
+        # perturbed nested data: the exact start fails, so the program runs
+        # and the certificate search finds verified multipliers
+        part = make_nested(20, 4)
+        shape = part.base.quantities.shape
+        noise = np.exp(0.2 * np.random.default_rng(20).standard_normal(shape))
+        stats = MarketStatistics(part.base.prices, part.base.quantities * noise)
+        part = partition(stats, part.y_block)
+        res = check_separability(part)
+        assert res.status is Status.FEASIBLE
+        assert res.decision.optimum is not None and res.decision.optimum <= 1e-6
+        assert verify_separability_solution(_instance(part), res.lambdas, res.mus)
+
+    @pytest.mark.parametrize("factor", [1e160, 1e200, 1e-200])
+    def test_overflow_or_underflow_is_undecided(self, factor):
+        # an INFEASIBLE instance whose cross expenditures overflow or underflow
+        stats = rescaled_infeasible(factor)
+        with np.errstate(all="ignore"):
+            res = check_separability(partition(stats, [2]))
+        assert res.status is Status.UNDECIDED
 
     def test_bad_y_block_not_separable(self):
         part = embed_bad_y_block(0, periods=4)
@@ -125,6 +147,18 @@ class TestVerifySolution:
         lam = np.full(3, 1.0 / 3.0)
         mu = np.array([1.0, -1.0, 1.0])
         assert not verify_separability_solution(inst, lam, mu)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_rejects_overflowed_or_underflowed_cross(self, factor):
+        # every cross expenditure becomes inf (or 0), where inf <= inf (0 <= 0) holds
+        part = make_nested(7, periods=5, q_goods=2, y_goods=3)
+        res = check_separability(part)
+        scaled = MarketStatistics(
+            prices=part.base.prices * factor, quantities=part.base.quantities * factor
+        )
+        with np.errstate(all="ignore"):
+            inst = _instance(partition(scaled, part.y_block))
+            assert not verify_separability_solution(inst, res.lambdas, res.mus)
 
     def test_single_period_tautology(self):
         stats = MarketStatistics(prices=[[1.0, 1.0]], quantities=[[1.0, 1.0]])
