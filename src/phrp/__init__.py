@@ -12,7 +12,6 @@ otherwise:
   observed demand (``phrp.collective``).
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .collective import (
     AllocationSolution,
     ClassNumberResult,
@@ -58,6 +57,9 @@ from .separability import (
 )
 
 __version__ = "0.1.0"
+
+# the numpy kernels in ``phrp._kernels`` are the only implementation
+kernel_backend = "pure"
 
 __all__ = [
     "AfriatCertificate",

@@ -1,6 +1,5 @@
-"""Numpy implementations of the hot kernels.
+"""The numpy kernels: relaxation rounds and segment reductions.
 
-Semantics are pinned so the compiled backend can mirror them exactly:
 ``bf_rounds`` uses Jacobi (whole-round) relaxation with first-index tie
 breaking, which makes distances and parents independent of summation order.
 """
@@ -9,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND_NAME = "pure"
+# rows of ``weights`` relaxed at once: a (BLOCK_ROWS, T) scratch array stays
+# small while each block still amortises numpy's per-call overhead
+BLOCK_ROWS = 128
 
 
 def bf_rounds(weights, dist, parent, max_rounds):
@@ -20,8 +21,14 @@ def bf_rounds(weights, dist, parent, max_rounds):
     every node against the previous round's distances, so the result is
     scan-order independent.  Ties keep the lowest tau.
 
+    A round visits ``BLOCK_ROWS`` rows of ``weights`` at a time and merges
+    each block's column minima into a running best with a strict ``<``, so
+    the lowest tau also wins ties across blocks.  The round only adds and
+    compares, so it gives the same bits as relaxing the whole matrix at once.
+
     Args:
-        weights: (T, T) float64 with 0 or +inf on the diagonal.
+        weights: (T, T) float64 with 0 or +inf on the diagonal, and no NaN
+            or -inf anywhere.
         dist: (T,) float64 starting potentials (virtual source = 0).
         parent: (T,) int64 predecessor array (-1 where never improved).
         max_rounds: maximum number of full rounds to run.
@@ -30,21 +37,34 @@ def bf_rounds(weights, dist, parent, max_rounds):
         (dist, parent, rounds_run, converged): new arrays; ``converged`` is
         True when the last executed round produced no improvement.
     """
+    weights = np.asarray(weights, dtype=np.float64)
     dist = np.array(dist, dtype=np.float64, copy=True)
     parent = np.array(parent, dtype=np.int64, copy=True)
+    T = dist.size
+    columns = np.arange(T)
+    through = np.empty((min(BLOCK_ROWS, T), T))
+    best = np.empty(T)
+    arg = np.empty(T, dtype=np.int64)
     rounds_run = 0
-    converged = True if max_rounds == 0 else False
+    converged = max_rounds == 0
     for _ in range(max_rounds):
-        through = dist[:, None] + weights
-        cand = through.min(axis=0)
-        arg = through.argmin(axis=0)
-        improved = cand < dist
+        best.fill(np.inf)
+        for lo in range(0, T, BLOCK_ROWS):
+            rows = weights[lo : lo + BLOCK_ROWS]
+            block = through[: rows.shape[0]]
+            np.add(dist[lo : lo + BLOCK_ROWS, None], rows, out=block)
+            block_arg = block.argmin(axis=0)
+            block_min = block[block_arg, columns]
+            better = block_min < best
+            np.copyto(best, block_min, where=better)
+            np.copyto(arg, block_arg + lo, where=better)
+        improved = best < dist
         rounds_run += 1
         if not improved.any():
             converged = True
             break
-        dist = np.where(improved, cand, dist)
-        parent = np.where(improved, arg, parent)
+        np.copyto(dist, best, where=improved)
+        np.copyto(parent, arg, where=improved)
     return dist, parent, rounds_run, converged
 
 

@@ -233,7 +233,8 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
 
     Returns:
         FEASIBLE with a normalized certificate, INFEASIBLE with a violation
-        cycle of ratio < 1 - tol, or UNDECIDED at the numerical boundary.
+        cycle of ratio < 1 - tol, or UNDECIDED at the numerical boundary and
+        whenever some cross expenditure is not finite and strictly positive.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError("tol must lie in (0, 1e-2]")
@@ -244,6 +245,13 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             certificate=cert,
         )
     graph = build_cross_graph(stats)
+    cross = graph.cross_expenditures
+    if not 0.0 < cross.min() <= cross.max() < np.inf:
+        # a cross expenditure that over- or underflowed carries no log weight,
+        # so neither a certificate nor a cycle ratio over it can be trusted
+        return HarpResult(
+            Decision(Status.UNDECIDED, detail="cross expenditures overflow or underflow")
+        )
     labels, cycle = shortest_potentials(graph.weights)
     if cycle is None:
         cert = AfriatCertificate(_softmax(labels))
@@ -255,7 +263,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             Decision(Status.FEASIBLE, detail="shortest-path potentials found"),
             certificate=cert,
         )
-    log_weight, ratio = _cycle_stats(cycle, graph.weights, graph.cross_expenditures)
+    log_weight, ratio = _cycle_stats(cycle, graph.weights, cross)
     if not (log_weight < 0.0 and ratio < 1.0):
         return HarpResult(
             Decision(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -293,7 +294,7 @@ def load_statistics(path: str | Path) -> MarketStatistics:
                     raise MalformedRowError(
                         f"row {r}, column {c}: cannot parse {cell!r}", row=r, column=c
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise MalformedRowError(
                         f"row {r}, column {c}: non-finite value {cell!r}", row=r, column=c
                     )

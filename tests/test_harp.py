@@ -106,6 +106,27 @@ class TestCheckHarp:
             result = check_harp(rescaled_infeasible(factor))
         assert result.status is Status.UNDECIDED
 
+    def test_partial_underflow_is_undecided(self):
+        # p^0 . q^1 underflows to 0 while the other cross expenditures stay
+        # positive, which makes the cycle (0, 1, 0) look like ratio ~1e-304
+        stats = MarketStatistics(
+            prices=[[1e-200, 1e-202], [0.01, 1.0]],
+            quantities=[[0.01, 1.0], [1e-200, 1e-202]],
+        )
+        with np.errstate(all="ignore"):
+            result = check_harp(stats)
+        assert result.status is Status.UNDECIDED
+        assert result.decision.detail == "cross expenditures overflow or underflow"
+        # period 0's prices and period 1's quantities times 1e200: an exact
+        # symmetry of the model, and every cross expenditure is representable
+        twin = MarketStatistics(
+            prices=stats.prices * [[1e200], [1.0]],
+            quantities=stats.quantities * [[1.0], [1e200]],
+        )
+        twin_result = check_harp(twin)
+        assert twin_result.status is Status.FEASIBLE
+        assert verify_certificate(twin, twin_result.certificate)
+
     def test_duplicate_periods_kept(self, feasible2):
         doubled = MarketStatistics(
             prices=np.vstack([feasible2.prices, feasible2.prices]),
