@@ -5,9 +5,9 @@ strictly positive per-consumer demands, each PH-rationalizable on its own,
 that sum componentwise to the data.  For k = 1 this is the exact
 graph-based test; for k >= 2 the decision works through the log-domain
 slack program over per-consumer multipliers and quantity logs, plus a
-verified-witness search: candidate splits are polished by rescaling onto
-exact balance and then validated per consumer with the exact test, so a
-FEASIBLE verdict always ships a checkable allocation.
+witness search by the convex-concave procedure of :func:`phrp.convex.ccp`:
+candidate splits are rescaled onto exact balance and then validated per
+consumer with the exact test, so a FEASIBLE verdict ships a checkable split.
 
 Because every split variable lives in log space, splits where a consumer
 buys none of some good are unreachable; reported decisions are therefore
@@ -26,7 +26,6 @@ from .harp import build_cross_graph, check_harp, shortest_potentials, verify_cer
 from .model import Decision, MarketStatistics, Status
 
 _MAIN_MARGIN = 1e-7  # interior margin imposed on per-consumer constraints
-_CCP_ROUNDS = 30
 
 
 @dataclass(frozen=True)
@@ -290,139 +289,65 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
     return patterns
 
 
-def _ccp_program(stats, k, qtil_hat, lam_hat):
+def _linearise(stats: MarketStatistics, k: int, state):
+    """The repair program of the k-consumer search at (log split, log multipliers).
+
+    Its variables are lam (k, T), q (k, T, n) and the slack u, in that
+    order.  First come the rows afriat[a, t, tau], per consumer and ordered
+    pair t != tau (row-major), with the concave log(p^tau . q_a^t) replaced
+    by its tangent.  Then, per (t, i), the row fill[t, i] (the balance
+    Q - sum_a q_a <= u, linearized) alternates with cap[t, i] (sum_a q_a <= Q).
+    """
+    qtil_hat, lam_hat = state
     T, n = stats.periods, stats.goods
     P, Q = stats.prices, stats.quantities
     exp_hat = np.exp(qtil_hat)  # (k, T, n)
-    # current true violation, to seed the shared slack
-    viol = 0.0
+    t, tau = np.nonzero(~np.eye(T, dtype=bool))
+    lam_var = np.arange(k * T).reshape(k, T)
+    q_var = k * T + np.arange(k * T * n).reshape(k, T, n)
+    n_afriat = k * t.size
+    coef = np.zeros((n_afriat + 2 * T * n, k * T * (n + 1) + 1))
+    const = np.empty(len(coef))
+    violation = 0.0
+    for a in range(k):  # per consumer, so that every sum keeps its order
+        logc = np.log(np.einsum("si,ti->st", P, exp_hat[a]))  # p^s . qhat_a^t
+        g = lam_hat[a, t] - lam_hat[a, tau] + logc[t, t] - logc[tau, t] + _MAIN_MARGIN
+        violation = max(violation, float(g.max()))
+        denom = np.einsum("si,ti->ts", P, exp_hat[a])[t, tau]  # p^tau . qhat_a^t
+        w = P[tau] * exp_hat[a, t] / denom[:, None]
+        rows = a * t.size + np.arange(t.size)
+        # stacked matmul rounds like the dot product w @ q; (w * q).sum(-1) does not
+        tangent = (w[:, None, :] @ qtil_hat[a, t][:, :, None])[:, 0, 0]
+        const[rows] = -np.log(denom) + tangent + _MAIN_MARGIN
+        coef[rows, lam_var[a, t]] = 1.0
+        coef[rows, lam_var[a, tau]] = -1.0
+        coef[rows[:, None], q_var[a, t]] = -w
+    violation = max(violation, float((Q - exp_hat.sum(axis=0)).max()))
+    fill = n_afriat + 2 * np.arange(T * n)
+    cap = fill + 1
+    filled = Q
     for a in range(k):
-        cross = np.einsum("si,ti->st", P, exp_hat[a])  # cross[s, t] = p^s . qhat_a^t
-        logc = np.log(cross)
-        for t in range(T):
-            for tau in range(T):
-                if t != tau:
-                    g = (
-                        lam_hat[a, t]
-                        - lam_hat[a, tau]
-                        + logc[t, t]
-                        - logc[tau, t]
-                        + _MAIN_MARGIN
-                    )
-                    viol = max(viol, g)
-    fill = Q - exp_hat.sum(axis=0)
-    viol = max(viol, float(fill.max()))
-    u_start = max(viol, 0.0) * 1.05 + 1e-6
+        filled = filled + exp_hat[a] * (qtil_hat[a] - 1.0)
+        coef[fill, q_var[a].ravel()] = -exp_hat[a].ravel()
+    const[fill] = filled.ravel()
+    const[cap] = -np.log(Q).ravel()
+    coef[:, -1] = -1.0
+    coef[cap, -1] = 0.0
+    terms = (
+        np.concatenate([np.repeat(np.arange(n_afriat), n), np.repeat(cap, k)]),
+        np.concatenate([np.tile(P[t].ravel(), k), np.ones(T * n * k)]),
+        np.concatenate([q_var[:, t].ravel(), q_var.transpose(1, 2, 0).ravel()]),
+    )
+    start = np.concatenate([lam_hat.ravel(), qtil_hat.ravel()])
+    program = convex.linearised_program(
+        f"collective-repair-k{k}", start, violation, coef, const, terms
+    )
 
-    prog = convex.LogConvexProgram(name=f"collective-repair-k{k}")
-    lam_vars = np.empty((k, T), dtype=int)
-    q_vars = np.empty((k, T, n), dtype=int)
-    for a in range(k):
-        for t in range(T):
-            lam_vars[a, t] = prog.add_log_variable(
-                f"lam[{a},{t}]", start=float(np.clip(lam_hat[a, t], -29.0, 29.0))
-            )
-    for a in range(k):
-        for t in range(T):
-            for i in range(n):
-                q_vars[a, t, i] = prog.add_log_variable(
-                    f"q[{a},{t},{i}]", start=float(np.clip(qtil_hat[a, t, i], -29.0, 29.0))
-                )
-    u = prog.add_slack_variable("u", cap=float(max(10.0 * u_start, 1.0)), start=u_start)
+    def unpack(point):
+        qtil = point[k * T : k * T * (n + 1)].reshape(k, T, n)
+        return (qtil, point[: k * T].reshape(k, T)), float(np.max(np.abs(qtil - qtil_hat)))
 
-    for a in range(k):
-        weighted = np.einsum("si,ti->ts", P, exp_hat[a])  # weighted[t, tau] = p^tau . qhat_a^t
-        for t in range(T):
-            for tau in range(T):
-                if t == tau:
-                    continue
-                denom = float(weighted[t, tau])
-                l_hat = float(np.log(denom))
-                w_i = P[tau, :] * exp_hat[a, t, :] / denom
-                const = -l_hat + float(w_i @ qtil_hat[a, t, :]) + _MAIN_MARGIN
-                coefs = {int(lam_vars[a, t]): 1.0, int(lam_vars[a, tau]): -1.0}
-                for i in range(n):
-                    coefs[int(q_vars[a, t, i])] = coefs.get(int(q_vars[a, t, i]), 0.0) - float(
-                        w_i[i]
-                    )
-                prog.add_constraint(
-                    convex.ConstraintRecord(
-                        label=f"afriat[{a},{t},{tau}]",
-                        lhs_affine=convex.affine(const, coefs),
-                        lhs_lse=tuple(
-                            convex.ExpTerm(
-                                float(P[t, i]), convex.affine(0.0, {int(q_vars[a, t, i]): 1.0})
-                            )
-                            for i in range(n)
-                        ),
-                        rhs_affine=convex.affine(0.0, {u: 1.0}),
-                    )
-                )
-    for t in range(T):
-        for i in range(n):
-            const = float(Q[t, i])
-            coefs: dict[int, float] = {}
-            for a in range(k):
-                e = float(exp_hat[a, t, i])
-                const += e * (float(qtil_hat[a, t, i]) - 1.0)
-                coefs[int(q_vars[a, t, i])] = -e
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"fill[{t},{i}]",
-                    lhs_affine=convex.affine(const, coefs),
-                    rhs_affine=convex.affine(0.0, {u: 1.0}),
-                )
-            )
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"cap[{t},{i}]",
-                    lhs_affine=convex.affine(0.0),
-                    lhs_lse=tuple(
-                        convex.ExpTerm(1.0, convex.affine(0.0, {int(q_vars[a, t, i]): 1.0}))
-                        for a in range(k)
-                    ),
-                    rhs_affine=convex.affine(float(np.log(Q[t, i]))),
-                )
-            )
-    return prog, lam_vars, q_vars
-
-
-def _ccp_search(stats, k, starts, tol_accept):
-    """Iterated inner linearization over deterministic starts.
-
-    The subproblem's INFEASIBLE status only means its slack optimum is
-    certified nonzero; the returned point is still the next linearization
-    iterate.  Starts that stop improving (a stationary slack level with a
-    frozen split) are abandoned early.
-    """
-    T, n = stats.periods, stats.goods
-    for qtil0, lam0 in starts:
-        qtil = np.array(qtil0, dtype=np.float64)
-        lam = np.array(lam0, dtype=np.float64)
-        prev_obj = np.inf
-        stagnant = 0
-        for _ in range(_CCP_ROUNDS):
-            alloc = _extract_allocation(stats, qtil, tol_accept)
-            if alloc is not None:
-                return alloc
-            prog, lam_vars, q_vars = _ccp_program(stats, k, qtil, lam)
-            res = convex.solve(prog, eps_feas=1e-9, max_iter=40_000)
-            point = res.point
-            new_lam = point[lam_vars.reshape(-1)].reshape(k, T)
-            new_q = point[q_vars.reshape(-1)].reshape(k, T, n)
-            delta = float(np.max(np.abs(new_q - qtil)))
-            qtil, lam = new_q, new_lam
-            if prev_obj - res.objective < 1e-10 * max(1.0, abs(prev_obj)):
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_obj = res.objective
-            if delta < 1e-9 or stagnant >= 3:
-                break
-        alloc = _extract_allocation(stats, qtil, tol_accept)
-        if alloc is not None:
-            return alloc
-    return None
+    return program, unpack
 
 
 def _even_split_allocation(stats, k, lambdas) -> AllocationSolution:
@@ -521,7 +446,16 @@ def check_collective(
         sub_q = share[:, None, :] * Q[None, :, :] * (1.0 - 1e-6)
         qtil = np.log(sub_q)
         starts.append((qtil, _start_lambdas(stats, sub_q)))
-    alloc = _ccp_search(stats, k, starts, tol_accept) if sol.objective <= tol_accept else None
+    alloc = None
+    if sol.objective <= tol_accept:
+        alloc = convex.ccp(
+            starts,
+            lambda state: _extract_allocation(stats, state[0], tol_accept),
+            lambda state: _linearise(stats, k, state),
+            rounds=30,
+            max_iter=40_000,
+            step_tol=1e-9,
+        )
     if alloc is not None:
         return CollectiveResult(
             decision=Decision(

@@ -1,5 +1,6 @@
-"""Solver for slack-minimization programs over log-domain variables."""
+"""Log-domain slack-minimization programs, their solver and the convex-concave procedure."""
 
+from .ccp import ccp, linearised_program
 from .program import (
     Affine,
     ConstraintRecord,
@@ -24,7 +25,9 @@ __all__ = [
     "ProgramStructureError",
     "SolveResult",
     "affine",
+    "ccp",
     "eval_constraint",
     "gradient",
+    "linearised_program",
     "solve",
 ]

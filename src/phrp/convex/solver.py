@@ -378,21 +378,21 @@ class _Run:
         x, v = self.phase_one(recovered)
         if v >= 0.0:
             exhausted = self.budget.used >= self.budget.limit
-            if v > 10.0 * self.eps and not exhausted:
+            # a stall against the box may be the box's doing, not the program's
+            boxed = self._near_box_boundary(x)
+            if v > 10.0 * self.eps and not exhausted and not boxed:
                 return self._result(
                     Status.INFEASIBLE,
                     x,
                     message=f"phase I stalled at violation {v:.3e} for its full budget",
                 )
-            return self._result(
-                Status.UNDECIDED,
-                x,
-                message=(
-                    "iteration budget exhausted in phase I"
-                    if exhausted
-                    else f"phase I ended at violation {v:.3e} inside the ambiguity band"
-                ),
-            )
+            if exhausted:
+                message = "iteration budget exhausted in phase I"
+            elif boxed:
+                message = f"phase I stalled at violation {v:.3e} at the localization box boundary"
+            else:
+                message = f"phase I ended at violation {v:.3e} inside the ambiguity band"
+            return self._result(Status.UNDECIDED, x, message=message)
         self._note_incumbent(x)
         if not np.any(self.c):
             if self._near_box_boundary(x):

@@ -147,8 +147,10 @@ class HarpResult:
 def build_cross_graph(stats: MarketStatistics) -> CrossGraph:
     """Cross-expenditure log-ratio graph of the difference-constraint system."""
     cross = stats.cross_expenditures()
-    logc = np.log(cross)
-    weights = logc - np.diag(logc)[None, :]
+    # over- or underflowed entries give infinite or NaN weights, which callers reject
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logc = np.log(cross)
+        weights = logc - np.diag(logc)[None, :]
     np.fill_diagonal(weights, 0.0)
     weights.setflags(write=False)
     cross.setflags(write=False)
@@ -254,7 +256,10 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
         )
     labels, cycle = shortest_potentials(graph.weights)
     if cycle is None:
-        cert = AfriatCertificate(_softmax(labels))
+        lambdas = _softmax(labels)
+        if not lambdas.min() > 0.0:  # labels more than ~745 apart underflow
+            return HarpResult(Decision(Status.UNDECIDED, detail="multipliers span beyond float64"))
+        cert = AfriatCertificate(lambdas)
         if not verify_certificate(stats, cert, tol=max(tol, 1e-9)):
             return HarpResult(
                 Decision(Status.UNDECIDED, detail="potentials failed re-verification")

@@ -19,9 +19,9 @@ four mechanisms:
     verdict is SEPARABLE and no program is built;
   * otherwise the log-domain slack-minimization program built from (a)-(b),
     whose certified infeasibility or positive optimum rejects;
-  * and a verified-certificate search, which improves ``lam`` by a
-    deterministic sequence of inner linearizations of (b), resolving mu
-    exactly at every iterate.
+  * and a verified-certificate search, which improves ``lam`` by the
+    convex-concave procedure of :func:`phrp.convex.ccp` (inner
+    linearizations of (b)), resolving mu exactly at every iterate.
 
 Acceptance always re-validates (a)-(b) directly, so a SEPARABLE verdict never
 rests on solver status alone.
@@ -242,112 +242,83 @@ def _normalized_log(lam_log: NDArray[np.float64]) -> NDArray[np.float64]:
     return lam_log - (shift + np.log(np.exp(lam_log - shift).sum()))
 
 
-def _true_violation(inst, lam_log, mu_log) -> float:
+def _linearise(inst: SeparabilityInstance, state, margin: float = 1e-9):
+    """The repair program of the multiplier search at (log lam, log mu).
+
+    Its variables are lam (T), mu (T) and the slack u.  For every ordered
+    pair t != tau, row-major, the row sub[t, tau], which is (a) in logs, is
+    followed by macro[t, tau], which is (b) with the concave
+    log(lam_tau pq[tau, t] + lam_t xy[t, t]) replaced by its tangent.
+    """
+    lam_log, mu_log = state
+    T = inst.periods
+    # the largest log-violation of (a)-(b) at the point seeds the slack
     lam = np.exp(_normalized_log(lam_log))
     mu = np.exp(mu_log - mu_log.max())
     v1 = np.log(lam * np.diag(inst.xy)) - np.log((lam[:, None] * inst.xy).min(axis=0))
     lhs = np.outer(lam, mu * inst.expenditures)
     rhs = mu[:, None] * (lam[:, None] * inst.pq + (lam * np.diag(inst.xy))[None, :])
     v2 = np.log(lhs) - np.log(rhs)
-    return float(max(v1.max(), v2.max()))
+    violation = float(max(v1.max(), v2.max()))
 
-
-def _ccp_round_program(inst, lam_log, mu_log, margin=1e-9):
-    """Inner linearization of (a)-(b) around lam_log, as a one-slack program."""
-    T = inst.periods
-    viol = _true_violation(inst, lam_log, mu_log)
-    u_start = max(viol, 0.0) * 1.05 + 1e-6
-    prog = convex.LogConvexProgram(name=f"separability-repair-T{T}")
-    lam_vars = [
-        prog.add_log_variable(f"lam[{t}]", start=float(np.clip(lam_log[t], -29.0, 29.0)))
-        for t in range(T)
-    ]
-    mu_vars = [
-        prog.add_log_variable(f"mu[{t}]", start=float(np.clip(mu_log[t], -29.0, 29.0)))
-        for t in range(T)
-    ]
-    u = prog.add_slack_variable("u", cap=max(10.0 * u_start, 1.0), start=u_start)
+    t, tau = np.nonzero(~np.eye(T, dtype=bool))
+    pair = np.arange(t.size)
     log_xy = np.log(inst.xy)
-    log_e = np.log(inst.expenditures)
-    for t in range(T):
-        for tau in range(T):
-            if t == tau:
-                continue
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"sub[{t},{tau}]",
-                    lhs_affine=convex.affine(
-                        log_xy[t, t] - log_xy[tau, t] + margin,
-                        {lam_vars[t]: 1.0, lam_vars[tau]: -1.0},
-                    ),
-                    rhs_affine=convex.affine(0.0, {u: 1.0}),
-                )
-            )
-            log_a = float(np.log(inst.pq[tau, t]))
-            log_b = float(log_xy[t, t])
-            z_tau = lam_log[tau] + log_a
-            z_t = lam_log[t] + log_b
-            r_hat = float(np.logaddexp(z_tau, z_t))
-            w_tau = float(np.exp(z_tau - r_hat))
-            w_t = float(np.exp(z_t - r_hat))
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"macro[{t},{tau}]",
-                    lhs_affine=convex.affine(
-                        log_e[t] - r_hat + w_tau * lam_log[tau] + w_t * lam_log[t] + margin,
-                        {
-                            mu_vars[t]: 1.0,
-                            mu_vars[tau]: -1.0,
-                            lam_vars[tau]: 1.0 - w_tau,
-                            lam_vars[t]: -w_t,
-                        },
-                    ),
-                    rhs_affine=convex.affine(0.0, {u: 1.0}),
-                )
-            )
-    return prog, lam_vars, mu_vars
+    z_tau = lam_log[tau] + np.log(inst.pq[tau, t])
+    z_t = lam_log[t] + log_xy[t, t]
+    r_hat = np.logaddexp(z_tau, z_t)
+    w_tau = np.exp(z_tau - r_hat)
+    w_t = np.exp(z_t - r_hat)
+    coef = np.zeros((2 * t.size, 2 * T + 1))
+    sub, macro = coef[0::2], coef[1::2]
+    sub[pair, t] = 1.0
+    sub[pair, tau] = -1.0
+    macro[pair, T + t] = 1.0
+    macro[pair, T + tau] = -1.0
+    macro[pair, tau] = 1.0 - w_tau
+    macro[pair, t] = -w_t
+    coef[:, -1] = -1.0
+    const = np.empty(2 * t.size)
+    const[0::2] = log_xy[t, t] - log_xy[tau, t] + margin
+    const[1::2] = (
+        np.log(inst.expenditures)[t] - r_hat + w_tau * lam_log[tau] + w_t * lam_log[t] + margin
+    )
+    start = np.concatenate([lam_log, mu_log])
+    program = convex.linearised_program(
+        f"separability-repair-T{T}", start, violation, coef, const
+    )
+
+    def unpack(point):
+        new_lam = _normalized_log(point[:T])
+        return (new_lam, point[T : 2 * T]), float(np.max(np.abs(new_lam - lam_log)))
+
+    return program, unpack
 
 
-def _certificate_search(inst, starts, tol_verify, max_rounds=40):
-    """Deterministic search for verified (lam, mu); returns them or None.
+def _verified_multipliers(inst: SeparabilityInstance, lam_starts):
+    """Verified (lam, mu) from the convex-concave procedure, or None.
 
-    Each round first tries the exact mu resolve at the current lam, then
-    re-linearizes around it.  The repair subproblem's INFEASIBLE status only
-    certifies a nonzero slack at this linearization; its point is still the
-    next iterate, so only stagnation abandons a start.
+    A state is (log lam normalized to sum 1, log mu).  Each acceptance test
+    resolves mu exactly for the state's lam; the first linearization of a
+    start takes its mu from those labels (zeros when there are none).
     """
-    for lam_log0 in starts:
-        lam_log = _normalized_log(np.asarray(lam_log0, dtype=np.float64))
-        mu_log = None
-        prev_obj = np.inf
-        stagnant = 0
-        for _ in range(max_rounds):
-            lam = np.exp(lam_log)
-            lam = lam / lam.sum()
-            mus, verified = _resolve_and_verify(inst, lam, tol_verify)
-            if verified:
-                return lam, mus
-            if mu_log is None:  # the first mu start: the exact labels, if any
-                mu_log = np.zeros(inst.periods) if mus is None else np.log(mus)
-            prog, lam_vars, mu_vars = _ccp_round_program(inst, lam_log, mu_log)
-            res = convex.solve(prog, eps_feas=1e-9, max_iter=20_000)
-            new_lam = _normalized_log(res.point[: len(lam_vars)])
-            new_mu = res.point[len(lam_vars) : len(lam_vars) + len(mu_vars)]
-            delta = float(np.max(np.abs(new_lam - lam_log)))
-            lam_log, mu_log = new_lam, new_mu
-            if prev_obj - res.objective < 1e-10 * max(1.0, abs(prev_obj)):
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_obj = res.objective
-            if delta < 1e-11 or stagnant >= 3:
-                break
-        lam = np.exp(lam_log)
+    exact = [None]  # the mu resolved by the latest acceptance test
+
+    def accept(state):
+        lam = np.exp(state[0])
         lam = lam / lam.sum()
-        mus, verified = _resolve_and_verify(inst, lam, tol_verify)
-        if verified:
-            return lam, mus
-    return None
+        mus, verified = _resolve_and_verify(inst, lam, 1e-8)
+        exact[0] = mus
+        return (lam, mus) if verified else None
+
+    def linearise(state):
+        lam_log, mu_log = state
+        if mu_log is None:
+            mu_log = np.zeros(inst.periods) if exact[0] is None else np.log(exact[0])
+        return _linearise(inst, (lam_log, mu_log))
+
+    starts = ((_normalized_log(np.asarray(s, dtype=np.float64)), None) for s in lam_starts)
+    return convex.ccp(starts, accept, linearise, rounds=40, max_iter=20_000, step_tol=1e-11)
 
 
 def _separable(part, lam, mus, optimum, detail) -> SeparabilityResult:
@@ -440,11 +411,7 @@ def check_separability(
     starts = [sol.point[:T]]
     if y_res.certificate is not None:
         starts.append(np.log(y_res.certificate.lambdas))
-    found = (
-        _certificate_search(inst, starts, tol_verify=1e-8)
-        if sol.objective <= tol_accept
-        else None
-    )
+    found = _verified_multipliers(inst, starts) if sol.objective <= tol_accept else None
     if found is not None:
         lam, mus = found
         return _separable(part, lam, mus, sol.objective, "verified multipliers found")

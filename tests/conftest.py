@@ -101,3 +101,42 @@ def rescaled_infeasible(factor: float) -> MarketStatistics:
     prices = rng.uniform(0.5, 2.0, (5, 3))
     quantities = rng.uniform(0.5, 2.0, (5, 3))
     return MarketStatistics(prices=prices * factor, quantities=quantities * factor)
+
+
+def extreme_scales() -> MarketStatistics:
+    """A CD instance whose period 0 prices are times 1e-200 and period 1's times 1e200.
+
+    Rescaling one period's prices is an exact symmetry, so the truth stays
+    FEASIBLE, but the multiplier ratio it needs is about 1e400, which float64
+    cannot hold; every cross expenditure stays finite and positive.
+    """
+    base = make_cd(0, periods=4, goods=3)
+    prices = base.prices * np.array([[1e-200], [1e200], [1.0], [1.0]])
+    return MarketStatistics(prices=prices, quantities=base.quantities)
+
+
+def perturbed_nested(seed: int, periods: int, sigma: float, noise_seed: int):
+    """``make_nested`` with its quantities times exp(sigma * N(0, 1)), same partition."""
+    from phrp.model import partition
+
+    part = make_nested(seed, periods)
+    shape = part.base.quantities.shape
+    noise = np.exp(sigma * np.random.default_rng(noise_seed).standard_normal(shape))
+    stats = MarketStatistics(part.base.prices, part.base.quantities * noise)
+    return partition(stats, part.y_block)
+
+
+def assert_program_rows(program, rows):
+    """``program``'s rows equal ``rows``, given one by one as (const, {var: coef}, terms).
+
+    ``terms`` is a tuple of (weight, variable) pairs; coefficients that are
+    exactly 0 may be left out of the program.  Comparisons are exact.
+    """
+    assert len(program.constraints) == len(rows)
+    for rec, (const, coefs, terms) in zip(program.constraints, rows):
+        assert rec.rhs_affine.idx == () and rec.rhs_affine.const == 0.0
+        assert rec.lhs_affine.const == const
+        assert dict(zip(rec.lhs_affine.idx, rec.lhs_affine.coef)) == {
+            v: c for v, c in coefs.items() if c != 0.0
+        }
+        assert tuple((t.weight, t.arg.idx[0]) for t in rec.lhs_lse or ()) == terms

@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+from conftest import extreme_scales
 from phrp import harp
 from phrp.cli import main, report_schema
 from phrp.model import save_statistics
@@ -69,6 +70,14 @@ class TestHarpCommand:
     def test_usage_error_exit_10(self, capsys):
         assert main(["harp"]) == 10
         assert "usage" in capsys.readouterr().err
+
+    def test_multipliers_beyond_float64_exit_2(self, tmp_path):
+        csv = tmp_path / "extreme.csv"
+        save_statistics(extreme_scales(), csv)
+        code, report = _run(tmp_path, ["harp", "--input", str(csv)])
+        assert code == 2
+        _validate(report)
+        assert report["status"] == "UNDECIDED"
 
     def test_internal_error_exit_12(self, tmp_path, feasible_csv, monkeypatch, capsys):
         def broken(*args, **kwargs):

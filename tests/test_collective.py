@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_aggregate, make_cd
+from conftest import assert_program_rows, extreme_scales, make_aggregate, make_cd
 from phrp.collective import (
     AllocationSolution,
+    _linearise,
     build_collective_program,
     check_collective,
     class_number,
@@ -44,6 +45,64 @@ class TestBuildProgram:
             tags = c.label[7:-1].split(",")
             t, tau = int(tags[1]), int(tags[2])
             assert c.rhs_logres.base.const == pytest.approx(cp[tau, t], rel=1e-15)
+
+
+def _loop_linearisation(stats, k, qtil, lam):
+    """The collective repair rows built one at a time, and the violation at (qtil, lam)."""
+    T, n = stats.periods, stats.goods
+    P, Q = stats.prices, stats.quantities
+    e = np.exp(qtil)
+    u = k * T * (n + 1)
+
+    def q(a, t, i):
+        return k * T + (a * T + t) * n + i
+
+    rows, violation = [], 0.0
+    for a in range(k):
+        logc = np.log(np.einsum("si,ti->st", P, e[a]))
+        weighted = np.einsum("si,ti->ts", P, e[a])
+        for t in range(T):
+            for tau in range(T):
+                if t == tau:
+                    continue
+                g = lam[a, t] - lam[a, tau] + logc[t, t] - logc[tau, t] + 1e-7
+                violation = max(violation, g)
+                w = P[tau, :] * e[a, t, :] / weighted[t, tau]
+                const = -float(np.log(weighted[t, tau])) + float(w @ qtil[a, t, :]) + 1e-7
+                coefs = {a * T + t: 1.0, a * T + tau: -1.0, u: -1.0}
+                coefs.update({q(a, t, i): -w[i] for i in range(n)})
+                rows.append((const, coefs, tuple((P[t, i], q(a, t, i)) for i in range(n))))
+    violation = max(violation, float((Q - e.sum(axis=0)).max()))
+    for t in range(T):
+        for i in range(n):
+            const = float(Q[t, i])
+            for a in range(k):
+                const += float(e[a, t, i]) * (float(qtil[a, t, i]) - 1.0)
+            coefs = {q(a, t, i): -e[a, t, i] for a in range(k)}
+            rows.append((const, {**coefs, u: -1.0}, ()))
+            rows.append((-np.log(Q[t, i]), {}, tuple((1.0, q(a, t, i)) for a in range(k))))
+    return rows, violation
+
+
+class TestLinearise:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_loop_reference(self, k):
+        stats, _ = make_aggregate(4, periods=4, goods=3)
+        rng = np.random.default_rng(k)
+        shape = (k,) + stats.quantities.shape
+        qtil = np.log(stats.quantities / k) + 0.3 * rng.standard_normal(shape)
+        lam = rng.standard_normal((k, stats.periods))
+        program, unpack = _linearise(stats, k, (qtil, lam))
+        rows, violation = _loop_linearisation(stats, k, qtil, lam)
+        assert program.name == f"collective-repair-k{k}"
+        assert_program_rows(program, rows)
+        start = np.clip(np.concatenate([lam.ravel(), qtil.ravel()]), -29.0, 29.0)
+        np.testing.assert_array_equal(program.start_point()[:-1], start)
+        assert program.start_point()[-1] == max(violation, 0.0) * 1.05 + 1e-6
+        (new_q, new_lam), step = unpack(np.arange(program.n_variables, dtype=float))
+        np.testing.assert_array_equal(new_lam.ravel(), np.arange(lam.size))
+        np.testing.assert_array_equal(new_q.ravel(), lam.size + np.arange(qtil.size))
+        assert step == np.max(np.abs(new_q - qtil))
 
 
 class TestAllocationSolution:
@@ -123,6 +182,12 @@ class TestCheckCollective:
         alloc = res.allocation
         assert verify_allocation(agg, alloc)
         assert np.all(alloc.residuals <= 1e-6 * agg.quantities)
+
+    def test_multipliers_beyond_float64_are_undecided(self):
+        # the aggregate needs multiplier ratios near 1e400; the program's
+        # phase I stalls against the localization box, which proves nothing
+        res = check_collective(extreme_scales(), 2)
+        assert res.status is Status.UNDECIDED
 
     def test_hint_short_circuits(self):
         agg, witness = make_aggregate(3)

@@ -301,6 +301,14 @@ class TestSolve:
         assert prog.max_violation(res.point) <= 1e-8
         assert res.objective <= 1e-8
 
+    def test_stall_at_the_box_is_undecided(self):
+        prog = convex.LogConvexProgram(box_bound=30.0)
+        x = prog.add_log_variable("x", start=0.0)
+        prog.add_constraint(_affine_only(40.0, {x: -1.0}))  # x >= 40, outside the box
+        res = convex.solve(prog)
+        assert res.status is Status.UNDECIDED
+        assert "box boundary" in res.message
+
     def test_eps_validation(self):
         prog = convex.LogConvexProgram()
         prog.add_log_variable("x")
@@ -318,3 +326,118 @@ class TestDump:
         assert "var x kind=log" in text
         assert "c0: 0.5 +1*x <= 0 +1*s" in text
         assert prog.dump() == text
+
+
+class TestLinearisedProgram:
+    def test_rows_slack_and_start(self):
+        coef = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.5, -2.0, -1.0]])
+        const = np.array([0.25, -1.0, 0.0])
+        terms = (np.array([1, 1, 2]), np.array([2.0, 3.0, 1.5]), np.array([0, 1, 1]))
+        start = np.array([40.0, -0.5])
+        prog = convex.linearised_program("toy-repair", start, 0.2, coef, const, terms)
+        assert prog.name == "toy-repair"
+        assert prog.slack_indices == (2,)
+        u_start = 0.2 * 1.05 + 1e-6
+        np.testing.assert_array_equal(prog.start_point(), [29.0, -0.5, u_start])
+        assert prog.bounds()[1][2] == 10.0 * u_start
+        point = np.array([0.3, -0.7, 0.1])
+        expected = coef @ point + const
+        expected[1] += np.log(2.0 * np.exp(0.3) + 3.0 * np.exp(-0.7))
+        expected[2] += np.log(1.5 * np.exp(-0.7))
+        np.testing.assert_allclose(prog.eval_all(point), expected, rtol=1e-14)
+
+    def test_no_terms(self):
+        prog = convex.linearised_program(
+            "toy-repair", np.zeros(1), -1.0, np.array([[1.0, -1.0]]), np.array([0.5])
+        )
+        assert all(c.lhs_lse is None for c in prog.constraints)
+        assert prog.start_point()[1] == 1e-6  # a negative violation seeds u at 1e-6
+
+
+def _toy_ccp(levels, accepted=(), steps=None, rounds=10, step_tol=1e-6):
+    """Run ``convex.ccp`` over toy starts named by the keys of ``levels``.
+
+    A state is (start, r) after r repair solves from that start.  The repair
+    program is u >= levels[start][r], so that level is its slack optimum;
+    the step to the next state is ``steps[(start, r)]``, else 1.  A state is
+    accepted when it is in ``accepted``.  Returns the result and every state
+    that was tested, in order.
+    """
+    steps = steps or {}
+    tested = []
+
+    def accept(state):
+        tested.append(state)
+        return state if state in accepted else None
+
+    def linearise(state):
+        name, r = state
+        level = levels[name][r]
+        program = convex.linearised_program(
+            "toy-repair", np.zeros(1), level, np.array([[0.0, -1.0]]), np.array([level])
+        )
+
+        def unpack(point):
+            return (name, r + 1), steps.get(state, 1.0)
+
+        return program, unpack
+
+    found = convex.ccp(
+        [(name, 0) for name in levels],
+        accept,
+        linearise,
+        rounds=rounds,
+        max_iter=1_000,
+        step_tol=step_tol,
+    )
+    return found, tested
+
+
+IMPROVING = [0.5 / (r + 1) for r in range(10)]
+STAGNANT = [0.5] * 10
+
+
+class TestCcp:
+    def test_first_accepted_start_wins(self):
+        found, tested = _toy_ccp(
+            {"a": IMPROVING, "b": IMPROVING, "c": IMPROVING}, accepted={("b", 2), ("c", 0)}
+        )
+        assert found == ("b", 2)
+        assert [s for s in tested if s[0] == "a"] == [("a", r) for r in range(11)]
+        assert tested[-3:] == [("b", 0), ("b", 1), ("b", 2)]
+        assert ("c", 0) not in tested
+
+    def test_stagnant_start_dropped_after_three_rounds(self):
+        # the first solve sets the level, the next three do not lower it
+        found, tested = _toy_ccp({"a": STAGNANT, "b": IMPROVING}, accepted={("b", 1)})
+        assert found == ("b", 1)
+        assert tested[:5] == [("a", r) for r in range(5)]
+        assert tested[5:] == [("b", 0), ("b", 1)]
+
+    def test_short_step_drops_start(self):
+        found, tested = _toy_ccp({"a": IMPROVING}, steps={("a", 1): 1e-7})
+        assert found is None
+        assert tested == [("a", 0), ("a", 1), ("a", 2)]
+
+    def test_accept_tried_after_round_budget(self):
+        found, tested = _toy_ccp({"a": IMPROVING}, accepted={("a", 3)}, rounds=3)
+        assert found == ("a", 3)
+        assert tested == [("a", 0), ("a", 1), ("a", 2), ("a", 3)]
+
+    def test_none_when_every_start_fails(self):
+        found, tested = _toy_ccp({"a": STAGNANT, "b": IMPROVING}, rounds=6)
+        assert found is None
+        assert tested == [("a", r) for r in range(5)] + [("b", r) for r in range(7)]
+
+    def test_solves_through_the_package_attribute(self, monkeypatch):
+        # the benchmark's tracer counts repair solves by wrapping convex.solve
+        names = []
+        solve = convex.solve
+
+        def counted(program, *args, **kwargs):
+            names.append(program.name)
+            return solve(program, *args, **kwargs)
+
+        monkeypatch.setattr(convex, "solve", counted)
+        _toy_ccp({"a": IMPROVING}, rounds=4)
+        assert names == ["toy-repair"] * 4

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cd, rescaled_infeasible
+from conftest import extreme_scales, make_cd, rescaled_infeasible
 from phrp import _kernels
 from phrp.harp import (
     AfriatCertificate,
@@ -24,6 +26,19 @@ from phrp.model import MarketStatistics, Status
 
 
 class TestCrossGraph:
+    def test_underflowed_cross_expenditure_does_not_warn(self):
+        # p^0 . q^1 underflows to 0: its weight is -inf, and no warning is printed
+        stats = MarketStatistics(
+            prices=[[1e-200, 1e-202], [0.01, 1.0]],
+            quantities=[[0.01, 1.0], [1e-200, 1e-202]],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = build_cross_graph(stats)
+            result = check_harp(stats)
+        assert graph.weights[0, 1] == -np.inf
+        assert result.status is Status.UNDECIDED
+
     def test_weights_example(self, feasible2):
         graph = build_cross_graph(feasible2)
         assert graph.nodes == 2
@@ -105,6 +120,13 @@ class TestCheckHarp:
         with np.errstate(all="ignore"):
             result = check_harp(rescaled_infeasible(factor))
         assert result.status is Status.UNDECIDED
+
+    def test_multipliers_beyond_float64_are_undecided(self):
+        # the shortest-path labels span more than 745, so the smallest
+        # normalized multipliers underflow to 0 and no certificate can be built
+        result = check_harp(extreme_scales())
+        assert result.status is Status.UNDECIDED
+        assert result.decision.detail == "multipliers span beyond float64"
 
     def test_partial_underflow_is_undecided(self):
         # p^0 . q^1 underflows to 0 while the other cross expenditures stay

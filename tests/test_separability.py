@@ -5,13 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import embed_bad_y_block, make_nested, rescaled_infeasible
+from conftest import (
+    assert_program_rows,
+    embed_bad_y_block,
+    make_nested,
+    perturbed_nested,
+    rescaled_infeasible,
+)
+from phrp import convex
 from phrp.datagen import CobbDouglasSpec, gen_nested_cd
 from phrp.harp import PiecewiseLinearUtility
 from phrp.model import MarketStatistics, Status, partition
 from phrp.separability import (
     InvalidMultipliersError,
     SeparabilityInstance,
+    _linearise,
     build_separability_program,
     check_separability,
     reconstruct_macro_utility,
@@ -39,6 +47,45 @@ class TestBuildProgram:
         part = make_nested(1, periods=2, q_goods=2, y_goods=2)
         prog = build_separability_program(_instance(part))
         assert prog.dump() == prog.dump()
+
+
+def _loop_linearisation(inst, lam_log, margin=1e-9):
+    """The separability repair rows built one at a time."""
+    T = inst.periods
+    log_xy = np.log(inst.xy)
+    log_e = np.log(inst.expenditures)
+    rows = []
+    for t in range(T):
+        for tau in range(T):
+            if t == tau:
+                continue
+            const = log_xy[t, t] - log_xy[tau, t] + margin
+            rows.append((const, {t: 1.0, tau: -1.0, 2 * T: -1.0}, ()))
+            z_tau = lam_log[tau] + float(np.log(inst.pq[tau, t]))
+            z_t = lam_log[t] + float(log_xy[t, t])
+            r_hat = float(np.logaddexp(z_tau, z_t))
+            w_tau = float(np.exp(z_tau - r_hat))
+            w_t = float(np.exp(z_t - r_hat))
+            const = log_e[t] - r_hat + w_tau * lam_log[tau] + w_t * lam_log[t] + margin
+            coefs = {T + t: 1.0, T + tau: -1.0, tau: 1.0 - w_tau, t: -w_t, 2 * T: -1.0}
+            rows.append((const, coefs, ()))
+    return rows
+
+
+def test_linearise_matches_loop_reference():
+    inst = _instance(perturbed_nested(5030, 5, sigma=0.3, noise_seed=35))
+    rng = np.random.default_rng(5)
+    lam_log = np.log(rng.dirichlet(np.ones(inst.periods)))
+    mu_log = rng.standard_normal(inst.periods)
+    program, unpack = _linearise(inst, (lam_log, mu_log))
+    assert program.name == "separability-repair-T5"
+    assert_program_rows(program, _loop_linearisation(inst, lam_log))
+    start = program.start_point()
+    np.testing.assert_array_equal(start[:-1], np.concatenate([lam_log, mu_log]))
+    (new_lam, new_mu), step = unpack(np.arange(program.n_variables, dtype=float))
+    np.testing.assert_allclose(np.exp(new_lam).sum(), 1.0)
+    np.testing.assert_array_equal(new_mu, np.arange(5, 10))
+    assert step == np.max(np.abs(new_lam - lam_log))
 
 
 class TestCheckSeparability:
@@ -73,6 +120,24 @@ class TestCheckSeparability:
         stats = MarketStatistics(part.base.prices, part.base.quantities * noise)
         part = partition(stats, part.y_block)
         res = check_separability(part)
+        assert res.status is Status.FEASIBLE
+        assert res.decision.optimum is not None and res.decision.optimum <= 1e-6
+        assert verify_separability_solution(_instance(part), res.lambdas, res.mus)
+
+    def test_repair_rounds(self, monkeypatch):
+        # neither the exact start nor the main program's point verifies; one
+        # round of the convex-concave search repairs the multipliers
+        part = perturbed_nested(5030, 5, sigma=0.3, noise_seed=35)
+        names = []
+        solve = convex.solve
+
+        def counted(program, *args, **kwargs):
+            names.append(program.name)
+            return solve(program, *args, **kwargs)
+
+        monkeypatch.setattr(convex, "solve", counted)
+        res = check_separability(part)
+        assert names == ["separability-T5", "separability-repair-T5"]
         assert res.status is Status.FEASIBLE
         assert res.decision.optimum is not None and res.decision.optimum <= 1e-6
         assert verify_separability_solution(_instance(part), res.lambdas, res.mus)
