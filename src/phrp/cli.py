@@ -5,8 +5,9 @@ and writes a JSON report.  Exit codes are scripting-friendly:
 
 * 0 - FEASIBLE / SEPARABLE / class number found
 * 1 - INFEASIBLE / NOT SEPARABLE
-* 2 - UNDECIDED (also: class-number with an undecided k below the accepted one)
-* 3 - class-number budget exhausted
+* 2 - UNDECIDED (also: class-number with an undecided k below the accepted
+  one, or with no k accepted and some k undecided)
+* 3 - class-number budget exhausted: every k up to ``--k-max`` is INFEASIBLE
 * 10 - usage errors, 11 - input/output errors, 12 - internal errors (a defect)
 
 Reports are deterministic given (input, flags, seed) except for the
@@ -235,7 +236,7 @@ def _run_class_number(args) -> tuple[dict, int]:
     }
     if result.status == "FOUND":
         code = EXIT_FEASIBLE
-    elif result.status == "NOT_FOUND":
+    elif all(d.status is model.Status.INFEASIBLE for d in result.per_k.values()):
         code = EXIT_NOT_FOUND
     else:
         code = EXIT_UNDECIDED

@@ -8,6 +8,10 @@ slack program over per-consumer multipliers and quantity logs, plus a
 witness search by the convex-concave procedure of :func:`phrp.convex.ccp`:
 candidate splits are rescaled onto exact balance and then validated per
 consumer with the exact test, so a FEASIBLE verdict ships a checkable split.
+The search tries fixed share-pattern starts first and the slack program's
+optimum last: from that optimum it rarely finds a witness, and then only
+after many repair solves, while a tilted share usually yields one within a
+few.
 
 Because every split variable lives in log space, splits where a consumer
 buys none of some good are unreachable; reported decisions are therefore
@@ -265,8 +269,9 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
 
     Round-robin tilts assign each good mostly to one consumer; they break the
     consumer-exchange symmetry that traps the search when every consumer
-    starts from the same split.  The symmetric even split is kept as a last
-    resort.
+    starts from the same split.  The symmetric even split comes last among
+    the patterns; :func:`_search_starts` puts the main program's point after
+    all of them.
     """
     patterns: list[NDArray[np.float64]] = []
     assignments = []
@@ -287,6 +292,24 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
                 patterns.append(share)
     patterns.append(np.full((k, n), 1.0 / k))
     return patterns
+
+
+def _search_starts(stats: MarketStatistics, k: int, point: NDArray[np.float64]):
+    """The witness search's (log split, log multipliers) starts, in order.
+
+    Every share pattern of :func:`_share_starts` comes first and the main
+    program's ``point`` last, since from that point the search rarely wins.
+    """
+    T, n = stats.periods, stats.goods
+    starts = []
+    for share in _share_starts(k, n):
+        sub_q = share[:, None, :] * stats.quantities[None, :, :] * (1.0 - 1e-6)
+        starts.append((np.log(sub_q), _start_lambdas(stats, sub_q)))
+    n_lam = k * T
+    starts.append(
+        (point[n_lam : n_lam + k * T * n].reshape(k, T, n), point[:n_lam].reshape(k, T))
+    )
+    return starts
 
 
 def _linearise(stats: MarketStatistics, k: int, state):
@@ -434,22 +457,10 @@ def check_collective(
             k=k,
         )
 
-    T, n = stats.periods, stats.goods
-    Q = stats.quantities
-    n_lam = k * T
-    solver_q = sol.point[n_lam : n_lam + k * T * n].reshape(k, T, n)
-    solver_lam = sol.point[:n_lam].reshape(k, T)
-    starts: list[tuple[NDArray[np.float64], NDArray[np.float64]]] = [
-        (solver_q, solver_lam)
-    ]
-    for share in _share_starts(k, n):
-        sub_q = share[:, None, :] * Q[None, :, :] * (1.0 - 1e-6)
-        qtil = np.log(sub_q)
-        starts.append((qtil, _start_lambdas(stats, sub_q)))
     alloc = None
     if sol.objective <= tol_accept:
         alloc = convex.ccp(
-            starts,
+            _search_starts(stats, k, sol.point),
             lambda state: _extract_allocation(stats, state[0], tol_accept),
             lambda state: _linearise(stats, k, state),
             rounds=30,

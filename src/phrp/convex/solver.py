@@ -4,10 +4,11 @@ Phase I drives the maximum constraint violation negative by Newton descent
 on a log-sum-exp smoothing of the max with an increasing sharpness schedule.
 Phase II follows the standard logarithmic barrier path for the slack-sum
 objective, which also yields a certified lower bound on the optimum through
-the barrier duality gap.  INFEASIBLE is only reported with such a bound, or
-when an exact negative cycle is found in the affine difference-constraint
-subsystem, or when Phase I provably stalls above tolerance for its whole
-budget; everything else ambiguous is UNDECIDED.
+the barrier duality gap.  INFEASIBLE is only reported with such a bound, a
+constraint that is constant and positive, or an exact negative cycle in the
+affine difference-constraint subsystem.  Everything else ambiguous is
+UNDECIDED, including a Phase I that stalls above tolerance: a stall of the
+smoothed descent certifies nothing about the program.
 
 The solver is deterministic: no randomness, fixed schedules, fixed tie
 breaking.
@@ -377,19 +378,14 @@ class _Run:
             )
         x, v = self.phase_one(recovered)
         if v >= 0.0:
-            exhausted = self.budget.used >= self.budget.limit
-            # a stall against the box may be the box's doing, not the program's
-            boxed = self._near_box_boundary(x)
-            if v > 10.0 * self.eps and not exhausted and not boxed:
-                return self._result(
-                    Status.INFEASIBLE,
-                    x,
-                    message=f"phase I stalled at violation {v:.3e} for its full budget",
-                )
-            if exhausted:
+            # a stall certifies nothing: descent on the smoothed max can stop
+            # short of a feasible point that exists, or be stopped by the box
+            if self.budget.used >= self.budget.limit:
                 message = "iteration budget exhausted in phase I"
-            elif boxed:
+            elif self._near_box_boundary(x):
                 message = f"phase I stalled at violation {v:.3e} at the localization box boundary"
+            elif v > 10.0 * self.eps:
+                message = f"phase I stalled at violation {v:.3e}"
             else:
                 message = f"phase I ended at violation {v:.3e} inside the ambiguity band"
             return self._result(Status.UNDECIDED, x, message=message)

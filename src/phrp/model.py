@@ -151,8 +151,13 @@ class MarketStatistics:
         return np.einsum("ti,ti->t", self.prices, self.quantities)
 
     def cross_expenditures(self) -> NDArray[np.float64]:
-        """T x T matrix C with C[a, b] = p^a . q^b (cost of bundle b at prices a)."""
-        return self.prices @ self.quantities.T
+        """T x T matrix C with C[a, b] = p^a . q^b (cost of bundle b at prices a).
+
+        Entries that overflow come back as inf without a warning; the
+        verifiers reject non-finite cross expenditures.
+        """
+        with np.errstate(over="ignore"):
+            return self.prices @ self.quantities.T
 
     def restrict(self, goods: Sequence[int]) -> "MarketStatistics":
         """Statistics restricted to the given goods columns (order preserved)."""

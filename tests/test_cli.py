@@ -144,6 +144,22 @@ class TestCollectiveCommands:
         assert code in (0, 2, 3)
         _validate(report)
 
+    def test_class_number_all_undecided_exit_2(self, tmp_path):
+        # k = 1, 2, 3 are all UNDECIDED: no k was rejected, so not exit 3
+        csv = tmp_path / "extreme.csv"
+        save_statistics(extreme_scales(), csv)
+        code, report = _run(tmp_path, ["class-number", "--input", str(csv)])
+        assert code == 2
+        _validate(report)
+        assert report["per_k"] == {"1": "UNDECIDED", "2": "UNDECIDED", "3": "UNDECIDED"}
+
+    def test_class_number_all_infeasible_exit_3(self, tmp_path, infeasible_csv):
+        args = ["class-number", "--input", str(infeasible_csv), "--k-max", "1"]
+        code, report = _run(tmp_path, args)
+        assert code == 3
+        _validate(report)
+        assert report["per_k"] == {"1": "INFEASIBLE"}
+
     def test_bad_k_exit_10(self, feasible_csv):
         assert main(["collective", "--input", str(feasible_csv), "--k", "0"]) == 10
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_program_rows, extreme_scales, make_aggregate, make_cd
+from phrp import convex
 from phrp.collective import (
     AllocationSolution,
     _linearise,
@@ -188,6 +189,48 @@ class TestCheckCollective:
         # phase I stalls against the localization box, which proves nothing
         res = check_collective(extreme_scales(), 2)
         assert res.status is Status.UNDECIDED
+
+    def test_main_program_point_is_the_last_start(self, monkeypatch):
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        points = {}
+        starts = []
+        solve, ccp = convex.solve, convex.ccp
+
+        def recorded_solve(program, *args, **kwargs):
+            res = solve(program, *args, **kwargs)
+            points.setdefault(program.name, res.point)
+            return res
+
+        def recorded_ccp(starts_, *args, **kwargs):
+            starts.extend(starts_)
+            return ccp(starts_, *args, **kwargs)
+
+        monkeypatch.setattr(convex, "solve", recorded_solve)
+        monkeypatch.setattr(convex, "ccp", recorded_ccp)
+        assert check_collective(agg, 2).status is Status.FEASIBLE
+        k, T, n = 2, agg.periods, agg.goods
+        main = points[f"collective-k2-T{T}-n{n}"]
+        last_q, last_lam = starts[-1]
+        np.testing.assert_array_equal(last_lam, main[: k * T].reshape(k, T))
+        np.testing.assert_array_equal(last_q, main[k * T : k * T * (n + 1)].reshape(k, T, n))
+        for q, _ in starts[:-1]:
+            assert not np.array_equal(q, last_q)
+
+    def test_share_start_wins_in_three_repair_solves(self, monkeypatch):
+        # from the main program's point this aggregate needs 20 repair solves
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        names = []
+        solve = convex.solve
+
+        def counted(program, *args, **kwargs):
+            names.append(program.name)
+            return solve(program, *args, **kwargs)
+
+        monkeypatch.setattr(convex, "solve", counted)
+        res = check_collective(agg, 2)
+        assert res.status is Status.FEASIBLE
+        assert verify_allocation(agg, res.allocation)
+        assert sum(name.startswith("collective-repair-") for name in names) == 3
 
     def test_hint_short_circuits(self):
         agg, witness = make_aggregate(3)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rescaled_infeasible
 from phrp.model import (
     EmptyBlockError,
     IndexOutOfRangeError,
@@ -110,6 +113,13 @@ class TestValidation:
 
     def test_expenditures(self, feasible2):
         np.testing.assert_allclose(feasible2.expenditures(), [1.0, 1.0])
+
+    def test_cross_expenditure_overflow_is_silent(self):
+        stats = rescaled_infeasible(1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross = stats.cross_expenditures()
+        assert np.isinf(cross).any()
 
 
 class TestPartition:

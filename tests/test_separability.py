@@ -142,6 +142,16 @@ class TestCheckSeparability:
         assert res.decision.optimum is not None and res.decision.optimum <= 1e-6
         assert verify_separability_solution(_instance(part), res.lambdas, res.mus)
 
+    def test_phase_one_stall_is_not_a_rejection(self):
+        # rescaling one period's prices is an exact symmetry, so the truth
+        # stays SEPARABLE; the main program's phase I stalls well inside the box
+        part = perturbed_nested(5030, 5, sigma=0.3, noise_seed=35)
+        prices = part.base.prices.copy()
+        prices[0] *= 1e40
+        stats = MarketStatistics(prices, part.base.quantities)
+        res = check_separability(partition(stats, part.y_block))
+        assert res.status is not Status.INFEASIBLE
+
     @pytest.mark.parametrize("factor", [1e160, 1e200, 1e-200])
     def test_overflow_or_underflow_is_undecided(self, factor):
         # an INFEASIBLE instance whose cross expenditures overflow or underflow
