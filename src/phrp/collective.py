@@ -8,10 +8,11 @@ slack program over per-consumer multipliers and quantity logs, plus a
 witness search by the convex-concave procedure of :func:`phrp.convex.ccp`:
 candidate splits are rescaled onto exact balance and then validated per
 consumer with the exact test, so a FEASIBLE verdict ships a checkable split.
-The search tries fixed share-pattern starts first and the slack program's
-optimum last: from that optimum it rarely finds a witness, and then only
-after many repair solves, while a tilted share usually yields one within a
-few.
+The search starts only from fixed share patterns: from the slack program's
+optimum it rarely found a witness, and then only after many repair solves,
+while a tilted share usually yields one within a few.  The slack program
+is still solved first, because its certified bound rejects and its optimum
+gates the search.
 
 Because every split variable lives in log space, splits where a consumer
 buys none of some good are unreachable; reported decisions are therefore
@@ -125,66 +126,49 @@ def build_collective_program(stats: MarketStatistics, k: int) -> convex.LogConve
     T, n = stats.periods, stats.goods
     P, Q = stats.prices, stats.quantities
     prog = convex.LogConvexProgram(name=f"collective-k{k}-T{T}-n{n}")
-    lam = np.empty((k, T), dtype=int)
-    qv = np.empty((k, T, n), dtype=int)
-    for a in range(k):
-        for t in range(T):
-            lam[a, t] = prog.add_log_variable(f"lam[{a},{t}]", start=-np.log(2.0 * T))
-    for a in range(k):
-        for t in range(T):
-            for i in range(n):
-                qv[a, t, i] = prog.add_log_variable(
-                    f"q[{a},{t},{i}]", start=float(np.log(Q[t, i] / (2.0 * k)))
-                )
-    gam = np.empty((T, n), dtype=int)
-    for t in range(T):
-        for i in range(n):
-            gam[t, i] = prog.add_slack_variable(
-                f"gamma[{t},{i}]", cap=float(Q[t, i]), start=float(Q[t, i] / 4.0)
-            )
+    lam = np.arange(k * T).reshape(k, T)
+    qv = k * T + np.arange(k * T * n).reshape(k, T, n)
+    gam = k * T * (n + 1) + np.arange(T * n).reshape(T, n)
+    for a, t in np.ndindex(k, T):
+        prog.add_log_variable(f"lam[{a},{t}]", start=-np.log(2.0 * T))
+    for a, t, i in np.ndindex(k, T, n):
+        prog.add_log_variable(f"q[{a},{t},{i}]", start=float(np.log(Q[t, i] / (2.0 * k))))
+    for t, i in np.ndindex(T, n):
+        prog.add_slack_variable(f"gamma[{t},{i}]", cap=float(Q[t, i]), start=float(Q[t, i] / 4.0))
+
+    # afriat[a, t, tau], row-major: every consumer but a holds its bundle in the residual
+    a, t, tau = np.indices((k, T, T)).reshape(3, -1)
+    rows = np.arange(a.size)
+    coef = np.zeros((a.size, k * T))
+    coef[rows, lam[a, t]] += 1.0
+    coef[rows, lam[a, tau]] -= 1.0
+    others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])  # b != a, in order
+    res_var = qv[others[a], t[:, None]]  # (rows, k - 1, n)
+    res_weight = np.broadcast_to(P[tau][:, None, :], res_var.shape)
     cp = P @ Q.T  # cp[tau, t] = p^tau . Q^t
-    for a in range(k):
-        for t in range(T):
-            for tau in range(T):
-                lse = tuple(
-                    convex.ExpTerm(float(P[t, i]), convex.affine(0.0, {int(qv[a, t, i]): 1.0}))
-                    for i in range(n)
-                )
-                res_terms = tuple(
-                    convex.ExpTerm(
-                        float(P[tau, i]), convex.affine(0.0, {int(qv[b, t, i]): 1.0})
-                    )
-                    for b in range(k)
-                    if b != a
-                    for i in range(n)
-                )
-                prog.add_constraint(
-                    convex.ConstraintRecord(
-                        label=f"afriat[{a},{t},{tau}]",
-                        lhs_affine=convex.affine(0.0, {int(lam[a, t]): 1.0}),
-                        lhs_lse=lse,
-                        rhs_affine=convex.affine(0.0, {int(lam[a, tau]): 1.0}),
-                        rhs_logres=convex.LogResidual(
-                            base=convex.affine(float(cp[tau, t])), terms=res_terms
-                        ),
-                    )
-                )
-    for t in range(T):
-        for i in range(n):
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"balance[{t},{i}]",
-                    lhs_affine=convex.affine(0.0),
-                    lhs_lse=tuple(
-                        convex.ExpTerm(1.0, convex.affine(0.0, {int(qv[a, t, i]): 1.0}))
-                        for a in range(k)
-                    ),
-                    rhs_affine=convex.affine(0.0),
-                    rhs_logres=convex.LogResidual(
-                        base=convex.affine(float(Q[t, i]), {int(gam[t, i]): -1.0})
-                    ),
-                )
-            )
+    prog.add_constraint(
+        "afriat",
+        coef,
+        np.zeros(a.size),
+        lse=(np.repeat(rows, n), P[t].ravel(), qv[a, t].ravel()),
+        res=(
+            np.zeros((a.size, 0)),
+            cp[tau, t],
+            (np.repeat(rows, (k - 1) * n), res_weight.ravel(), res_var.ravel()),
+        ),
+    )
+
+    # balance[t, i]: sum_a q_a + gamma <= Q
+    rows = np.arange(T * n)
+    base = np.zeros((T * n, prog.n_variables))
+    base[rows, gam.ravel()] = -1.0
+    prog.add_constraint(
+        "balance",
+        np.zeros((T * n, 0)),
+        np.zeros(T * n),
+        lse=(np.repeat(rows, k), np.ones(T * n * k), qv.transpose(1, 2, 0).ravel()),
+        res=(base, Q.ravel(), ((), (), ())),
+    )
     return prog
 
 
@@ -269,9 +253,7 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
 
     Round-robin tilts assign each good mostly to one consumer; they break the
     consumer-exchange symmetry that traps the search when every consumer
-    starts from the same split.  The symmetric even split comes last among
-    the patterns; :func:`_search_starts` puts the main program's point after
-    all of them.
+    starts from the same split.  The symmetric even split comes last.
     """
     patterns: list[NDArray[np.float64]] = []
     assignments = []
@@ -294,21 +276,13 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
     return patterns
 
 
-def _search_starts(stats: MarketStatistics, k: int, point: NDArray[np.float64]):
-    """The witness search's (log split, log multipliers) starts, in order.
-
-    Every share pattern of :func:`_share_starts` comes first and the main
-    program's ``point`` last, since from that point the search rarely wins.
-    """
-    T, n = stats.periods, stats.goods
+def _search_starts(stats: MarketStatistics, k: int):
+    """The witness search's (log split, log multipliers) starts: one per
+    share pattern of :func:`_share_starts`, in order."""
     starts = []
-    for share in _share_starts(k, n):
+    for share in _share_starts(k, stats.goods):
         sub_q = share[:, None, :] * stats.quantities[None, :, :] * (1.0 - 1e-6)
         starts.append((np.log(sub_q), _start_lambdas(stats, sub_q)))
-    n_lam = k * T
-    starts.append(
-        (point[n_lam : n_lam + k * T * n].reshape(k, T, n), point[:n_lam].reshape(k, T))
-    )
     return starts
 
 
@@ -447,6 +421,8 @@ def check_collective(
             decision=Decision(Status.INFEASIBLE, optimum=sol.objective, detail=sol.message),
             k=k,
         )
+    if not sol.objective_trace:  # phase I never finished: no slack optimum to judge
+        return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=sol.message), k=k)
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
         return CollectiveResult(
             decision=Decision(
@@ -460,7 +436,7 @@ def check_collective(
     alloc = None
     if sol.objective <= tol_accept:
         alloc = convex.ccp(
-            _search_starts(stats, k, sol.point),
+            _search_starts(stats, k),
             lambda state: _extract_allocation(stats, state[0], tol_accept),
             lambda state: _linearise(stats, k, state),
             rounds=30,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .. import convex  # ``convex.solve`` is looked up per call, where tracers wrap it
-from .program import Affine, ConstraintRecord, ExpTerm, LogConvexProgram
+from .program import LogConvexProgram
 
 
 def linearised_program(name, start, violation, coef, const, terms=((), (), ())):
@@ -30,22 +30,7 @@ def linearised_program(name, start, violation, coef, const, terms=((), (), ())):
     for i, s in enumerate(np.clip(start, -29.0, 29.0).tolist()):
         prog.add_log_variable(f"x[{i}]", start=s)
     prog.add_slack_variable("u", cap=max(10.0 * u_start, 1.0), start=u_start)
-    rows, weights, variables = (np.asarray(a) for a in terms)
-    cuts = np.searchsorted(rows, np.arange(len(coef) + 1)).tolist()
-    exps = [
-        ExpTerm(w, Affine(0.0, (v,), (1.0,)))
-        for w, v in zip(weights.tolist(), variables.tolist())
-    ]
-    for j, (row, c) in enumerate(zip(coef, const.tolist())):
-        idx = np.flatnonzero(row)
-        prog.add_constraint(
-            ConstraintRecord(
-                label=f"row[{j}]",
-                lhs_affine=Affine(c, tuple(idx.tolist()), tuple(row[idx].tolist())),
-                rhs_affine=Affine(),
-                lhs_lse=tuple(exps[cuts[j] : cuts[j + 1]]) or None,
-            )
-        )
+    prog.add_constraint("row", coef, const, lse=terms)
     return prog
 
 

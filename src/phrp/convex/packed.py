@@ -1,10 +1,10 @@
 """Dense packed form of a program for fast repeated evaluation.
 
 The solver evaluates every constraint, gradient and Hessian many times per
-run; this module flattens the record structure into contiguous arrays once
-so that each evaluation is a handful of vectorized operations.  Term
-arguments that are a single variable with unit coefficient (the common case
-for the programs built in this package) get dedicated fast paths.
+run; this module concatenates the program's row blocks into contiguous
+arrays once, so that each evaluation is a handful of vectorized operations.
+Every exponential term is ``w * exp(x[v])`` of a single variable, so a term's
+gradient is one unit entry and its Hessian one diagonal entry.
 """
 
 from __future__ import annotations
@@ -25,180 +25,82 @@ class EvalCache:
 
     x: NDArray[np.float64]
     values: NDArray[np.float64]
-    lse_z: NDArray[np.float64] | None = None
     lse_u: NDArray[np.float64] | None = None  # softmax weight of each lse term
     res_exp: NDArray[np.float64] | None = None  # D_j exp(b_j) per res term
     res_s: NDArray[np.float64] | None = None  # residual per res row
     in_domain: bool = True
 
 
-class _TermBlock:
-    """Flat storage for a collection of weighted exponential terms."""
+class _Terms:
+    """Weighted exponentials ``w_k exp(x[var_k])``; term k sits in row ``row[k]``
+    of its row list (``lse_rows`` or ``res_rows``)."""
 
-    def __init__(self):
-        self.logw: list[float] = []
-        self.row: list[int] = []  # local row id (position in the row list)
-        self.nnz_ptr: list[int] = [0]
-        self.nnz_ix: list[int] = []
-        self.nnz_co: list[float] = []
-        self.unit_var: list[int] = []
-        self.unit = True
-
-    def add(self, weight: float, arg, local_row: int) -> None:
-        self.logw.append(math.log(weight) + arg.const)
-        self.row.append(local_row)
-        self.nnz_ix.extend(arg.idx)
-        self.nnz_co.extend(arg.coef)
-        self.nnz_ptr.append(len(self.nnz_ix))
-        if len(arg.idx) == 1 and arg.coef[0] == 1.0:
-            self.unit_var.append(arg.idx[0])
-        else:
-            self.unit = False
-            self.unit_var.append(-1)
-
-    def finalize(self):
-        self.logw = np.asarray(self.logw, dtype=np.float64)
-        self.row = np.asarray(self.row, dtype=np.int64)
-        self.nnz_ptr = np.asarray(self.nnz_ptr, dtype=np.int64)
-        self.nnz_ix = np.asarray(self.nnz_ix, dtype=np.int64)
-        self.nnz_co = np.asarray(self.nnz_co, dtype=np.float64)
-        self.unit_var = np.asarray(self.unit_var, dtype=np.int64)
-        self.nnz_row = np.repeat(
-            np.arange(len(self.logw), dtype=np.int64), np.diff(self.nnz_ptr)
-        )
-        return self
-
-    @property
-    def size(self) -> int:
-        return len(self.logw)
+    def __init__(self, row, weight, var):
+        self.row = row
+        self.var = var
+        # math.log per weight: np.log can differ from it in the last bit
+        self.logw = np.array([math.log(w) for w in weight.tolist()], dtype=np.float64)
+        self.size = row.size
 
     def arg_values(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        if self.size == 0:
-            return np.zeros(0)
-        if self.unit:
-            return self.logw + x[self.unit_var]
-        dots = _kernels.segment_sum(self.nnz_co * x[self.nnz_ix], self.nnz_row, self.size)
-        return self.logw + dots
+        return self.logw + x[self.var]
 
     def scatter_gradient(
         self, out: NDArray[np.float64], rows: NDArray[np.int64], scale: NDArray[np.float64]
     ) -> None:
-        """out[rows[k], :] += scale[k] * grad(arg_k) for every term k."""
-        if self.size == 0:
-            return
-        if self.unit:
-            np.add.at(out, (rows, self.unit_var), scale)
-        else:
-            np.add.at(
-                out,
-                (rows[self.nnz_row], self.nnz_ix),
-                scale[self.nnz_row] * self.nnz_co,
-            )
+        """out[rows[k], var[k]] += scale[k] for every term k."""
+        np.add.at(out, (rows, self.var), scale)
 
     def diag_outer(self, out: NDArray[np.float64], scale: NDArray[np.float64]) -> None:
-        """out += sum_k scale[k] * grad(arg_k) grad(arg_k)^T (dense n x n)."""
-        if self.size == 0:
-            return
-        if self.unit:
-            diag = _kernels.segment_sum(scale, self.unit_var, out.shape[0])
-            out[np.diag_indices_from(out)] += diag
-        else:
-            for k in range(self.size):
-                lo, hi_ = self.nnz_ptr[k], self.nnz_ptr[k + 1]
-                ix = self.nnz_ix[lo:hi_]
-                co = self.nnz_co[lo:hi_]
-                out[np.ix_(ix, ix)] += scale[k] * np.outer(co, co)
+        """out[var[k], var[k]] += scale[k] for every term k."""
+        if self.size:
+            out[np.diag_indices_from(out)] += _kernels.segment_sum(scale, self.var, out.shape[0])
+
+
+def _stack(parts, dtypes) -> list[NDArray]:
+    """Concatenate equal-length tuples of arrays field by field."""
+    fields = list(zip(*parts)) or [()] * len(dtypes)
+    return [np.concatenate([np.zeros(0, dtype), *f]) for dtype, f in zip(dtypes, fields)]
+
+
+_INT, _FLOAT = np.int64, np.float64
 
 
 class PackedProgram:
     """Contiguous-array view of a LogConvexProgram."""
 
     def __init__(self, program: LogConvexProgram):
-        self.program = program
         self.n = program.n_variables
         self.lo, self.hi = program.bounds()
         self.c = program.objective_vector()
-        records = program.constraints
-
-        const_rows: list[tuple[int, float]] = []
-        active: list[int] = []
-        for j, rec in enumerate(records):
-            # A row is constant when nothing varies: no exponential terms with
-            # variables and an affine part whose two sides cancel exactly
-            # (e.g. tautological t == tau rows).  Such rows are excluded from
-            # the barrier but still checked for violations.
-            term_vars = set()
-            for term in rec.lhs_lse or ():
-                term_vars |= set(term.arg.idx)
-            if rec.rhs_logres is not None:
-                term_vars |= set(rec.rhs_logres.base.idx)
-                for term in rec.rhs_logres.terms:
-                    term_vars |= set(term.arg.idx)
-            combined: dict[int, float] = {}
-            for i, co in zip(rec.lhs_affine.idx, rec.lhs_affine.coef):
-                combined[i] = combined.get(i, 0.0) + co
-            for i, co in zip(rec.rhs_affine.idx, rec.rhs_affine.coef):
-                combined[i] = combined.get(i, 0.0) - co
-            affine_varies = any(co != 0.0 for co in combined.values())
-            if term_vars or affine_varies:
-                active.append(j)
-            else:
-                value = rec.lhs_affine.const - rec.rhs_affine.const
-                if rec.lhs_lse is not None:
-                    value += math.log(
-                        sum(t.weight * math.exp(t.arg.const) for t in rec.lhs_lse)
-                    )
-                if rec.rhs_logres is not None:
-                    resid = rec.rhs_logres.base.const - sum(
-                        t.weight * math.exp(t.arg.const) for t in rec.rhs_logres.terms
-                    )
-                    value = math.inf if resid <= 0 else value - math.log(resid)
-                const_rows.append((j, float(value)))
-        self.active_index = np.asarray(active, dtype=np.int64)
-        self.const_rows = tuple(const_rows)
-        self.m = len(active)
-
+        blocks = program.blocks
+        first = np.cumsum([0] + [blk.const.size for blk in blocks]).tolist()
+        self.m = first[-1]
         self.A = np.zeros((self.m, self.n))
-        self.b = np.zeros(self.m)
-        lse_rows: list[int] = []
-        res_rows: list[int] = []
-        self.lse_terms = _TermBlock()
-        self.res_terms = _TermBlock()
-        res_base_const: list[float] = []
-        rb_ix: list[int] = []
-        rb_co: list[float] = []
-        rb_row: list[int] = []
+        self.b = np.concatenate([np.zeros(0), *(blk.const for blk in blocks)])
+        lse, res, bases = [], [], []
+        n_res = 0  # residual rows so far
+        for blk, r0 in zip(blocks, first):
+            # += rather than =: the zeros of A stay +0.0
+            self.A[r0 : r0 + blk.const.size, : blk.coef.shape[1]] += blk.coef
+            row, w, v = blk.lse
+            lse.append((r0 + row, w, v))
+            if blk.res is not None:
+                base, const, (row, w, v) = blk.res
+                res.append((n_res + row, w, v))
+                base_row, base_ix = np.nonzero(base)
+                rows = r0 + np.arange(const.size)
+                bases.append((rows, const, n_res + base_row, base_ix, base[base_row, base_ix]))
+                n_res += const.size
 
-        for local, j in enumerate(active):
-            rec = records[j]
-            rec.lhs_affine.add_gradient(self.A[local], 1.0)
-            rec.rhs_affine.add_gradient(self.A[local], -1.0)
-            self.b[local] = rec.lhs_affine.const - rec.rhs_affine.const
-            if rec.lhs_lse is not None:
-                lrow = len(lse_rows)
-                lse_rows.append(local)
-                for term in rec.lhs_lse:
-                    self.lse_terms.add(term.weight, term.arg, lrow)
-            if rec.rhs_logres is not None:
-                rrow = len(res_rows)
-                res_rows.append(local)
-                res_base_const.append(rec.rhs_logres.base.const)
-                for i, co in zip(rec.rhs_logres.base.idx, rec.rhs_logres.base.coef):
-                    rb_row.append(rrow)
-                    rb_ix.append(i)
-                    rb_co.append(co)
-                for term in rec.rhs_logres.terms:
-                    self.res_terms.add(term.weight, term.arg, rrow)
-
-        self.lse_rows = np.asarray(lse_rows, dtype=np.int64)
-        self.res_rows = np.asarray(res_rows, dtype=np.int64)
-        self.lse_terms.finalize()
-        self.res_terms.finalize()
-        self.lse_rowptr = self._rowptr(self.lse_terms.row, len(lse_rows))
-        self.res_base_const = np.asarray(res_base_const, dtype=np.float64)
-        self.rb_row = np.asarray(rb_row, dtype=np.int64)
-        self.rb_ix = np.asarray(rb_ix, dtype=np.int64)
-        self.rb_co = np.asarray(rb_co, dtype=np.float64)
+        lse_row, lse_w, lse_v = _stack(lse, (_INT, _FLOAT, _INT))
+        self.lse_rows = np.unique(lse_row)
+        self.lse_terms = _Terms(np.searchsorted(self.lse_rows, lse_row), lse_w, lse_v)
+        self.lse_rowptr = self._rowptr(self.lse_terms.row, self.lse_rows.size)
+        self.res_terms = _Terms(*_stack(res, (_INT, _FLOAT, _INT)))
+        self.res_rows, self.res_base_const, self.rb_row, self.rb_ix, self.rb_co = _stack(
+            bases, (_INT, _FLOAT, _INT, _INT, _FLOAT)
+        )
 
     @staticmethod
     def _rowptr(rows: NDArray[np.int64], nrows: int) -> NDArray[np.int64]:
@@ -208,14 +110,13 @@ class PackedProgram:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x: NDArray[np.float64]) -> EvalCache:
-        """Constraint values g_j(x) for the active rows, +inf out of domain."""
+        """Constraint values g_j(x) for every row, +inf out of domain."""
         values = self.A @ x + self.b
         cache = EvalCache(x=x, values=values)
         if self.lse_rows.size:
             z = self.lse_terms.arg_values(x)
             lse_val = _kernels.segment_logsumexp(z, self.lse_rowptr)
             values[self.lse_rows] += lse_val
-            cache.lse_z = z
             cache.lse_u = np.exp(z - lse_val[self.lse_terms.row])
         if self.res_rows.size:
             base = self.res_base_const.copy()
@@ -283,12 +184,3 @@ class PackedProgram:
                 * inv_s[self.res_terms.row],
             )
         return H
-
-    def full_violations(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Values of every constraint (active and constant) in original order."""
-        out = np.zeros(len(self.program.constraints))
-        cache = self.eval(x)
-        out[self.active_index] = cache.values
-        for j, value in self.const_rows:
-            out[j] = value
-        return out

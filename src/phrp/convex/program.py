@@ -1,22 +1,23 @@
-"""Log-domain convex feasibility programs.
+"""Log-domain convex feasibility programs, held as labelled blocks of array rows.
 
-Every constraint has the shape
+Row j of a block reads
 
-    lhs_affine + log(sum_j C_j exp(a_j(x)))
-        <= rhs_affine + log(base(x) - sum_j D_j exp(b_j(x)))
+    coef[j] @ x + const[j] + log(sum_k w_k exp(x[v_k]))
+        <= log(base_coef[j] @ x + base_const[j] - sum_k d_k exp(x[u_k]))
 
-with C_j, D_j > 0 and all of a_j, b_j, base affine.  Both optional terms may
-be absent.  The left side is convex and the right side concave, so the
-feasible set is convex; this is checked structurally when constraints are
-added.  Variables are either log-domain reals boxed to [-B, B] or nonnegative
-slack variables; the objective is always the sum of the slacks.
+The left log sums the block's ``lse`` terms (row, w, v) of row j and is
+absent when row j has none.  The right log is present on every row of a
+block with a ``res`` part (base_coef, base_const, terms (row, d, u)) and
+absent from every row of a block without one.  Every weight is positive, so
+the left side is convex and the right side concave, and the feasible set is
+convex.  Variables are either log-domain reals boxed to [-B, B] or
+nonnegative slack variables; the objective is always the sum of the slacks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,149 +27,22 @@ class ProgramStructureError(ValueError):
     """The program or a constraint violates the required structural form."""
 
 
-class DomainViolationError(Exception):
-    """A log-residual argument is nonpositive at the evaluation point."""
+Terms = tuple[NDArray[np.int64], NDArray[np.float64], NDArray[np.int64]]
 
 
 @dataclass(frozen=True)
-class Affine:
-    """Sparse affine form const + sum_i coef[i] * x[idx[i]], idx strictly increasing."""
+class RowBlock:
+    """One block of rows in the form of the module docstring.
 
-    const: float = 0.0
-    idx: tuple[int, ...] = ()
-    coef: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if len(self.idx) != len(self.coef):
-            raise ProgramStructureError("idx and coef length mismatch")
-        if any(b <= a for a, b in zip(self.idx, self.idx[1:])):
-            raise ProgramStructureError("affine indices must be strictly increasing")
-        if not math.isfinite(self.const) or not all(map(math.isfinite, self.coef)):
-            raise ProgramStructureError("affine coefficients must be finite")
-
-    def value(self, x: NDArray[np.float64]) -> float:
-        total = self.const
-        for i, c in zip(self.idx, self.coef):
-            total += c * x[i]
-        return total
-
-    def add_gradient(self, out: NDArray[np.float64], scale: float = 1.0) -> None:
-        for i, c in zip(self.idx, self.coef):
-            out[i] += scale * c
-
-
-def affine(const: float = 0.0, terms: Mapping[int, float] | None = None) -> Affine:
-    """Build an Affine from a {variable index: coefficient} mapping."""
-    items = sorted((terms or {}).items())
-    return Affine(
-        const=float(const),
-        idx=tuple(int(i) for i, _ in items),
-        coef=tuple(float(c) for _, c in items),
-    )
-
-
-@dataclass(frozen=True)
-class ExpTerm:
-    """One weighted exponential ``weight * exp(arg(x))`` with weight > 0."""
-
-    weight: float
-    arg: Affine
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight > 0.0):
-            raise ProgramStructureError("exponential term weights must be positive")
-
-
-@dataclass(frozen=True)
-class LogResidual:
-    """Concave term ``log(base(x) - sum_j D_j exp(b_j(x)))``.
-
-    The domain condition base(x) - sum > 0 defines where the term is finite.
+    ``coef`` is (m, w) over the first w <= n variables and ``const`` is (m,);
+    term arrays are flat and ordered by row.
     """
-
-    base: Affine
-    terms: tuple[ExpTerm, ...] = ()
-
-
-@dataclass(frozen=True)
-class ConstraintRecord:
-    """One convex-feasible-form constraint LHS <= RHS."""
 
     label: str
-    lhs_affine: Affine
-    rhs_affine: Affine
-    lhs_lse: tuple[ExpTerm, ...] | None = None
-    rhs_logres: LogResidual | None = None
-
-    def __post_init__(self):
-        if self.lhs_lse is not None and len(self.lhs_lse) == 0:
-            raise ProgramStructureError("lhs_lse must be None or nonempty")
-
-    def variable_indices(self) -> set[int]:
-        out = set(self.lhs_affine.idx) | set(self.rhs_affine.idx)
-        for term in self.lhs_lse or ():
-            out |= set(term.arg.idx)
-        if self.rhs_logres is not None:
-            out |= set(self.rhs_logres.base.idx)
-            for term in self.rhs_logres.terms:
-                out |= set(term.arg.idx)
-        return out
-
-
-def eval_constraint(c: ConstraintRecord, x: NDArray[np.float64]) -> float:
-    """Evaluate g(x) = LHS(x) - RHS(x); +inf outside the residual domain."""
-    x = np.asarray(x, dtype=np.float64)
-    g = c.lhs_affine.value(x) - c.rhs_affine.value(x)
-    if c.lhs_lse is not None:
-        logs = np.array(
-            [math.log(t.weight) + t.arg.value(x) for t in c.lhs_lse], dtype=np.float64
-        )
-        mx = logs.max()
-        g += mx + math.log(np.exp(logs - mx).sum())
-    if c.rhs_logres is not None:
-        residual = c.rhs_logres.base.value(x)
-        for t in c.rhs_logres.terms:
-            residual -= t.weight * math.exp(t.arg.value(x))
-        if residual <= 0.0:
-            return math.inf
-        g -= math.log(residual)
-    return float(g)
-
-
-def gradient(c: ConstraintRecord, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Gradient of g at a point strictly inside the constraint's domain.
-
-    The log-sum-exp term contributes softmax-weighted argument gradients;
-    the log-residual term contributes -(grad base - sum D_j exp(b_j) grad b_j)
-    divided by the residual.
-
-    Raises:
-        DomainViolationError: the residual argument is <= 0 at x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    c.lhs_affine.add_gradient(out, 1.0)
-    c.rhs_affine.add_gradient(out, -1.0)
-    if c.lhs_lse is not None:
-        logs = np.array(
-            [math.log(t.weight) + t.arg.value(x) for t in c.lhs_lse], dtype=np.float64
-        )
-        weights = np.exp(logs - logs.max())
-        weights /= weights.sum()
-        for t, u in zip(c.lhs_lse, weights):
-            t.arg.add_gradient(out, float(u))
-    if c.rhs_logres is not None:
-        residual = c.rhs_logres.base.value(x)
-        exps = [t.weight * math.exp(t.arg.value(x)) for t in c.rhs_logres.terms]
-        residual -= sum(exps)
-        if residual <= 0.0:
-            raise DomainViolationError(
-                f"constraint {c.label!r}: residual argument {residual} <= 0"
-            )
-        c.rhs_logres.base.add_gradient(out, -1.0 / residual)
-        for t, e in zip(c.rhs_logres.terms, exps):
-            t.arg.add_gradient(out, e / residual)
-    return out
+    coef: NDArray[np.float64]
+    const: NDArray[np.float64]
+    lse: Terms
+    res: tuple[NDArray[np.float64], NDArray[np.float64], Terms] | None
 
 
 @dataclass(frozen=True)
@@ -194,7 +68,7 @@ class LogConvexProgram:
         self.name = name
         self.box_bound = float(box_bound)
         self._variables: list[_Variable] = []
-        self._constraints: list[ConstraintRecord] = []
+        self._blocks: list[RowBlock] = []
 
     # -- variables ---------------------------------------------------------
 
@@ -217,14 +91,57 @@ class LogConvexProgram:
 
     # -- constraints -------------------------------------------------------
 
-    def add_constraint(self, record: ConstraintRecord) -> None:
-        n = len(self._variables)
-        for i in record.variable_indices():
-            if not 0 <= i < n:
-                raise ProgramStructureError(
-                    f"constraint {record.label!r} references unknown variable {i}"
-                )
-        self._constraints.append(record)
+    def add_constraint(self, label: str, coef, const, lse=None, res=None) -> None:
+        """Add the block of rows ``label``: ``lse`` is (row, w, v) and ``res``
+        is (base_coef, base_const, (row, d, u)), as in the module docstring.
+
+        Raises:
+            ProgramStructureError: a coefficient is not finite, a weight is not
+                positive and finite, an index is out of range, term rows are
+                not ordered, or some row has no variable.
+        """
+
+        def require(ok, what):
+            if not ok:
+                raise ProgramStructureError(f"block {label!r}: {what}")
+
+        coef, const = self._matrix(coef, const, require)
+        m = const.size
+        varies = (coef != 0.0).any(axis=1)
+        lse = self._terms(((), (), ()) if lse is None else lse, m, require)
+        varies[lse[0]] = True
+        if res is not None:
+            base_coef, base_const = self._matrix(res[0], res[1], require)
+            require(base_const.size == m, "res must have one base per row")
+            res = (base_coef, base_const, self._terms(res[2], m, require))
+            varies |= (base_coef != 0.0).any(axis=1)
+            varies[res[2][0]] = True
+        require(varies.all(), "a row has no variable")
+        self._blocks.append(RowBlock(label, coef, const, lse, res))
+
+    def _matrix(self, coef, const, require):
+        coef = np.asarray(coef, dtype=np.float64)
+        const = np.asarray(const, dtype=np.float64)
+        require(
+            coef.ndim == 2
+            and const.shape == coef.shape[:1]
+            and coef.shape[1] <= len(self._variables),
+            "coefficients must be (rows, at most n_variables) and constants (rows,)",
+        )
+        require(np.isfinite(coef).all() and np.isfinite(const).all(), "coefficients must be finite")
+        return coef, const
+
+    def _terms(self, terms, m: int, require) -> Terms:
+        row, weight, var = (np.asarray(a) for a in terms)
+        row = row.astype(np.int64)
+        weight = weight.astype(np.float64)
+        var = var.astype(np.int64)
+        require(row.ndim == 1 and row.shape == weight.shape == var.shape, "term arrays must match")
+        require(np.all((weight > 0.0) & (weight < math.inf)), "weights must be positive and finite")
+        in_order = np.all((row >= 0) & (row < m)) and np.all(np.diff(row) >= 0)
+        require(in_order, "term rows must be ordered and in range")
+        require(np.all((var >= 0) & (var < len(self._variables))), "term of an unknown variable")
+        return row, weight, var
 
     # -- introspection -----------------------------------------------------
 
@@ -237,8 +154,8 @@ class LogConvexProgram:
         return tuple(v.name for v in self._variables)
 
     @property
-    def constraints(self) -> tuple[ConstraintRecord, ...]:
-        return tuple(self._constraints)
+    def blocks(self) -> tuple[RowBlock, ...]:
+        return tuple(self._blocks)
 
     @property
     def slack_indices(self) -> tuple[int, ...]:
@@ -260,45 +177,3 @@ class LogConvexProgram:
         for i in self.slack_indices:
             c[i] = 1.0
         return c
-
-    def objective_value(self, x: NDArray[np.float64]) -> float:
-        return float(self.objective_vector() @ np.asarray(x, dtype=np.float64))
-
-    def eval_all(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Reference evaluation of every constraint (used for verification)."""
-        return np.array([eval_constraint(c, x) for c in self._constraints])
-
-    def max_violation(self, x: NDArray[np.float64]) -> float:
-        values = self.eval_all(x)
-        return float(values.max()) if values.size else -math.inf
-
-    def point_as_dict(self, x: NDArray[np.float64]) -> dict[str, float]:
-        return {v.name: float(x[i]) for i, v in enumerate(self._variables)}
-
-    # -- debug dump --------------------------------------------------------
-
-    def _fmt_affine(self, a: Affine) -> str:
-        parts = [f"{a.const:.17g}"]
-        parts += [f"{c:+.17g}*{self._variables[i].name}" for i, c in zip(a.idx, a.coef)]
-        return " ".join(parts)
-
-    def dump(self) -> str:
-        """Canonical one-constraint-per-line text form, for external cross-checks."""
-        lines = [f"# {self.name}: {self.n_variables} variables, box {self.box_bound:g}"]
-        for v in self._variables:
-            lines.append(f"var {v.name} kind={v.kind} lo={v.lower:g} hi={v.upper:g}")
-        for c in self._constraints:
-            lhs = self._fmt_affine(c.lhs_affine)
-            if c.lhs_lse:
-                inner = " + ".join(
-                    f"{t.weight:.17g}*exp({self._fmt_affine(t.arg)})" for t in c.lhs_lse
-                )
-                lhs += f" + log[{inner}]"
-            rhs = self._fmt_affine(c.rhs_affine)
-            if c.rhs_logres is not None:
-                inner = self._fmt_affine(c.rhs_logres.base)
-                for t in c.rhs_logres.terms:
-                    inner += f" - {t.weight:.17g}*exp({self._fmt_affine(t.arg)})"
-                rhs += f" + log[{inner}]"
-            lines.append(f"{c.label}: {lhs} <= {rhs}")
-        return "\n".join(lines) + "\n"

@@ -4,11 +4,11 @@ Phase I drives the maximum constraint violation negative by Newton descent
 on a log-sum-exp smoothing of the max with an increasing sharpness schedule.
 Phase II follows the standard logarithmic barrier path for the slack-sum
 objective, which also yields a certified lower bound on the optimum through
-the barrier duality gap.  INFEASIBLE is only reported with such a bound, a
-constraint that is constant and positive, or an exact negative cycle in the
-affine difference-constraint subsystem.  Everything else ambiguous is
-UNDECIDED, including a Phase I that stalls above tolerance: a stall of the
-smoothed descent certifies nothing about the program.
+the barrier duality gap.  INFEASIBLE is only reported with such a bound or
+an exact negative cycle in the affine difference-constraint subsystem.
+Everything else ambiguous is UNDECIDED, including a Phase I that stalls
+above tolerance: a stall of the smoothed descent certifies nothing about
+the program.
 
 The solver is deterministic: no randomness, fixed schedules, fixed tie
 breaking.
@@ -354,14 +354,6 @@ class _Run:
 
     def run(self) -> SolveResult:
         packed = self.packed
-        for j, value in packed.const_rows:
-            if value > self.eps:
-                return self._result(
-                    Status.INFEASIBLE,
-                    self._interior_clip(self.program.start_point()),
-                    message=f"constraint {self.program.constraints[j].label!r} is "
-                    f"constant positive ({value:.3g})",
-                )
         cycle = _difference_cycle(packed)
         if cycle is not None:
             names = [self.program.variable_names[i] for i in cycle]
@@ -408,9 +400,7 @@ class _Run:
                 f"exceeds 10*eps",
             )
         obj = float(self.c @ x_best)
-        viol = packed.full_violations(x_best)
-        max_viol = float(viol.max()) if viol.size else -math.inf
-        if obj <= self.eps and max_viol <= self.eps:
+        if obj <= self.eps and self._max_violation(x_best) <= self.eps:
             if self._near_box_boundary(x_best):
                 return self._result(
                     Status.UNDECIDED,
@@ -435,15 +425,17 @@ class _Run:
                 return True
         return False
 
+    def _max_violation(self, x) -> float:
+        values = self.packed.eval(x).values
+        return float(values.max()) if values.size else -math.inf
+
     def _result(self, status, x, message=""):
-        viol = self.packed.full_violations(x)
-        max_viol = float(viol.max()) if viol.size else -math.inf
         return SolveResult(
             status=status,
             point=x.copy(),
             objective=float(self.c @ x),
             iterations=self.budget.used,
-            max_violation=max_viol,
+            max_violation=self._max_violation(x),
             lower_bound=self.lower_bound,
             objective_trace=tuple(self.trace),
             message=message,

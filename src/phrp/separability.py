@@ -125,55 +125,53 @@ def build_separability_program(inst: SeparabilityInstance) -> convex.LogConvexPr
     """Slack-minimization program deciding complete PH-separability.
 
     Variables: log multipliers lam_1..lam_T and mu_1..mu_T plus one slack.
-    The normalization sum_t exp(lam_t) = 1 is relaxed to <= 1 with the slack
-    absorbing the gap, and exp(lam_i) inside constraint (b) is replaced by
-    1 - sum_{j != i} exp(lam_j), which keeps the right-hand side concave.
+    The rows are (a) in logs for every ordered pair t != tau, then (b) for
+    every pair (t, tau), both row-major.  The normalization sum_t exp(lam_t)
+    = 1 is relaxed to <= 1 with the slack absorbing the gap, and exp(lam_i)
+    inside constraint (b) is replaced by 1 - sum_{j != i} exp(lam_j), which
+    keeps the right-hand side concave.
     """
     T = inst.periods
     prog = convex.LogConvexProgram(name=f"separability-T{T}")
-    lam = [prog.add_log_variable(f"lam[{t}]", start=-np.log(2.0 * T)) for t in range(T)]
-    mu = [prog.add_log_variable(f"mu[{t}]", start=0.0) for t in range(T)]
+    for t in range(T):
+        prog.add_log_variable(f"lam[{t}]", start=-np.log(2.0 * T))
+    for t in range(T):
+        prog.add_log_variable(f"mu[{t}]", start=0.0)
     gamma = prog.add_slack_variable("gamma", cap=1.0, start=0.25)
     log_xy = np.log(inst.xy)
-    log_e = np.log(inst.expenditures)
-    for t in range(T):
-        for tau in range(T):
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"sub[{t},{tau}]",
-                    lhs_affine=convex.affine(log_xy[t, t], {lam[t]: 1.0}),
-                    rhs_affine=convex.affine(log_xy[tau, t], {lam[tau]: 1.0}),
-                )
-            )
-    for t in range(T):
-        for tau in range(T):
-            a = float(inst.pq[tau, t])
-            b = float(inst.xy[t, t])
-            terms = []
-            for i in range(T):
-                d = (a if i != tau else 0.0) + (b if i != t else 0.0)
-                if d > 0.0:
-                    terms.append(convex.ExpTerm(d, convex.affine(0.0, {lam[i]: 1.0})))
-            prog.add_constraint(
-                convex.ConstraintRecord(
-                    label=f"macro[{t},{tau}]",
-                    lhs_affine=convex.affine(log_e[t], {mu[t]: 1.0, lam[tau]: 1.0}),
-                    rhs_affine=convex.affine(0.0, {mu[tau]: 1.0}),
-                    rhs_logres=convex.LogResidual(
-                        base=convex.affine(a + b), terms=tuple(terms)
-                    ),
-                )
-            )
+
+    # sub[t, tau]: lam_t - lam_tau + log xy[t, t] - log xy[tau, t] <= 0
+    t, tau = np.nonzero(~np.eye(T, dtype=bool))
+    sub = np.zeros((t.size, 2 * T))
+    sub[np.arange(t.size), t] = 1.0
+    sub[np.arange(t.size), tau] = -1.0
+    prog.add_constraint("sub", sub, log_xy[t, t] - log_xy[tau, t])
+
+    # macro[t, tau]: mu_t + lam_tau - mu_tau + log E^t <= log(a + b - sum_i d_i exp(lam_i)),
+    # a = pq[tau, t] and b = xy[t, t], where d_i takes a unless i == tau and b unless i == t
+    t, tau = np.indices((T, T)).reshape(2, -1)
+    rows = np.arange(T * T)
+    macro = np.zeros((T * T, 2 * T))
+    macro[rows, T + t] += 1.0
+    macro[rows, T + tau] -= 1.0
+    macro[rows, tau] += 1.0
+    a = inst.pq[tau, t]
+    b = inst.xy[t, t]
+    i = np.arange(T)
+    d = np.where(i != tau[:, None], a[:, None], 0.0) + np.where(i != t[:, None], b[:, None], 0.0)
+    row, var = np.nonzero(d > 0.0)
+    residual = (np.zeros((T * T, 0)), a + b, (row, d[row, var], var))
+    prog.add_constraint("macro", macro, np.log(inst.expenditures)[t], res=residual)
+
+    # normalization: log(sum_t exp(lam_t)) <= log(1 - gamma)
+    budget = np.zeros((1, gamma + 1))
+    budget[0, gamma] = -1.0
     prog.add_constraint(
-        convex.ConstraintRecord(
-            label="normalization",
-            lhs_affine=convex.affine(0.0),
-            lhs_lse=tuple(
-                convex.ExpTerm(1.0, convex.affine(0.0, {lam[t]: 1.0})) for t in range(T)
-            ),
-            rhs_affine=convex.affine(0.0),
-            rhs_logres=convex.LogResidual(base=convex.affine(1.0, {gamma: -1.0})),
-        )
+        "normalization",
+        np.zeros((1, 0)),
+        np.zeros(1),
+        lse=(np.zeros(T, dtype=int), np.ones(T), np.arange(T)),
+        res=(budget, np.ones(1), ((), (), ())),
     )
     return prog
 
@@ -398,6 +396,8 @@ def check_separability(
             ),
             violated_constraints=("program",),
         )
+    if not sol.objective_trace:  # phase I never finished: no slack optimum to judge
+        return SeparabilityResult(decision=Decision(Status.UNDECIDED, detail=sol.message))
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
         return SeparabilityResult(
             decision=Decision(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,16 +129,63 @@ def perturbed_nested(seed: int, periods: int, sigma: float, noise_seed: int):
 
 
 def assert_program_rows(program, rows):
-    """``program``'s rows equal ``rows``, given one by one as (const, {var: coef}, terms).
+    """``program``'s one block of rows, with no residual part, equals ``rows``,
+    given one by one as (const, {var: coef}, terms); see :func:`assert_block_rows`."""
+    (block,) = program.blocks
+    assert_block_rows(block, [row + (None,) for row in rows])
+
+
+def _assert_row(coef, const, term_arrays, j, expected):
+    want_const, want_coefs, want_terms = expected
+    assert const[j] == want_const
+    nonzero = np.flatnonzero(coef[j])
+    assert dict(zip(nonzero.tolist(), coef[j, nonzero].tolist())) == {
+        v: c for v, c in want_coefs.items() if c != 0.0
+    }
+    term_row, weight, var = term_arrays
+    mine = term_row == j
+    assert tuple(zip(weight[mine].tolist(), var[mine].tolist())) == want_terms
+
+
+def assert_block_rows(block, rows):
+    """``block``'s rows equal ``rows``, given one by one as
+    (const, {var: coef}, terms, res) with res None or (base const, {var: coef}, terms).
 
     ``terms`` is a tuple of (weight, variable) pairs; coefficients that are
-    exactly 0 may be left out of the program.  Comparisons are exact.
+    exactly 0 may be left out of ``rows``.  Comparisons are exact.
     """
-    assert len(program.constraints) == len(rows)
-    for rec, (const, coefs, terms) in zip(program.constraints, rows):
-        assert rec.rhs_affine.idx == () and rec.rhs_affine.const == 0.0
-        assert rec.lhs_affine.const == const
-        assert dict(zip(rec.lhs_affine.idx, rec.lhs_affine.coef)) == {
-            v: c for v, c in coefs.items() if c != 0.0
-        }
-        assert tuple((t.weight, t.arg.idx[0]) for t in rec.lhs_lse or ()) == terms
+    assert len(block.const) == len(rows)
+    assert (block.res is None) == all(row[3] is None for row in rows)
+    for j, (const, coefs, terms, res) in enumerate(rows):
+        _assert_row(block.coef, block.const, block.lse, j, (const, coefs, terms))
+        if res is not None:
+            _assert_row(*block.res, j, res)
+
+
+def reference_values(program, x):
+    """Every row of ``program`` at ``x``, one row at a time in plain ``math``.
+
+    Rows are read as the module docstring of ``phrp.convex.program`` states
+    them; a residual that is not positive gives +inf.
+    """
+    x = [float(v) for v in x]
+
+    def affine(coef, const, j):
+        return const[j] + math.fsum(c * x[i] for i, c in enumerate(coef[j].tolist()))
+
+    def exps(terms, j):
+        return [w * math.exp(x[v]) for r, w, v in zip(*(a.tolist() for a in terms)) if r == j]
+
+    values = []
+    for block in program.blocks:
+        for j in range(len(block.const)):
+            g = affine(block.coef, block.const, j)
+            lse = exps(block.lse, j)
+            if lse:
+                g += math.log(math.fsum(lse))
+            if block.res is not None:
+                base_coef, base_const, terms = block.res
+                residual = affine(base_coef, base_const, j) - math.fsum(exps(terms, j))
+                g = g - math.log(residual) if residual > 0.0 else math.inf
+            values.append(g)
+    return np.array(values)

@@ -5,11 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import assert_program_rows, extreme_scales, make_aggregate, make_cd
+from conftest import (
+    assert_block_rows,
+    assert_program_rows,
+    extreme_scales,
+    make_aggregate,
+    make_cd,
+)
 from phrp import convex
 from phrp.collective import (
     AllocationSolution,
     _linearise,
+    _share_starts,
     build_collective_program,
     check_collective,
     class_number,
@@ -24,9 +31,10 @@ class TestBuildProgram:
     def test_counts_k2_t2_n2(self):
         agg, _ = make_aggregate(0, periods=2, goods=2)
         prog = build_collective_program(agg, k=2)
-        labels = [c.label for c in prog.constraints]
-        assert sum(lbl.startswith("afriat[") for lbl in labels) == 8
-        assert sum(lbl.startswith("balance[") for lbl in labels) == 4
+        assert {block.label: len(block.const) for block in prog.blocks} == {
+            "afriat": 8,
+            "balance": 4,
+        }
         assert prog.n_variables == 4 + 8 + 4  # lam + q + slacks
 
     def test_k_validation(self):
@@ -38,14 +46,46 @@ class TestBuildProgram:
         # with one consumer the substituted right side is the constant p^tau.Q^t
         stats = make_cd(4, periods=2, goods=2)
         prog = build_collective_program(stats, k=1)
-        afriat = [c for c in prog.constraints if c.label.startswith("afriat[")]
-        assert len(afriat) == 4
+        afriat = prog.blocks[0]
+        assert afriat.label == "afriat" and len(afriat.const) == 4
+        base_coef, base_const, terms = afriat.res
+        assert not base_coef.any() and terms[0].size == 0
         cp = stats.prices @ stats.quantities.T
-        for c in afriat:
-            assert c.rhs_logres is not None and c.rhs_logres.terms == ()
-            tags = c.label[7:-1].split(",")
-            t, tau = int(tags[1]), int(tags[2])
-            assert c.rhs_logres.base.const == pytest.approx(cp[tau, t], rel=1e-15)
+        np.testing.assert_allclose(base_const, [cp[0, 0], cp[1, 0], cp[0, 1], cp[1, 1]], rtol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_loop_reference(self, k):
+        agg, _ = make_aggregate(4, periods=3, goods=2)
+        afriat, balance = build_collective_program(agg, k).blocks
+        rows = _loop_program_rows(agg, k)
+        assert_block_rows(afriat, rows["afriat"])
+        assert_block_rows(balance, rows["balance"])
+
+
+def _loop_program_rows(stats, k):
+    """The main program's rows, built one at a time in the record form."""
+    T, n = stats.periods, stats.goods
+    P, Q = stats.prices, stats.quantities
+    cp = P @ Q.T
+
+    def q(a, t, i):
+        return k * T + (a * T + t) * n + i
+
+    rows = {"afriat": [], "balance": []}
+    for a in range(k):
+        for t in range(T):
+            for tau in range(T):
+                coefs = {a * T + t: 1.0}
+                coefs[a * T + tau] = coefs.get(a * T + tau, 0.0) - 1.0
+                lse = tuple((P[t, i], q(a, t, i)) for i in range(n))
+                res = tuple((P[tau, i], q(b, t, i)) for b in range(k) if b != a for i in range(n))
+                rows["afriat"].append((0.0, coefs, lse, (cp[tau, t], {}, res)))
+    for t in range(T):
+        for i in range(n):
+            lse = tuple((1.0, q(a, t, i)) for a in range(k))
+            gamma = k * T * (n + 1) + t * n + i
+            rows["balance"].append((0.0, {}, lse, (Q[t, i], {gamma: -1.0}, ())))
+    return rows
 
 
 def _loop_linearisation(stats, k, qtil, lam):
@@ -189,32 +229,27 @@ class TestCheckCollective:
         # phase I stalls against the localization box, which proves nothing
         res = check_collective(extreme_scales(), 2)
         assert res.status is Status.UNDECIDED
+        # the stalled phase-I point is no slack optimum, so none is reported
+        assert res.decision.detail.startswith("phase I stalled")
+        assert res.decision.optimum is None
 
-    def test_main_program_point_is_the_last_start(self, monkeypatch):
+    def test_starts_are_the_share_patterns(self, monkeypatch):
         agg, _ = make_aggregate(9012, periods=6, goods=2)
-        points = {}
         starts = []
-        solve, ccp = convex.solve, convex.ccp
-
-        def recorded_solve(program, *args, **kwargs):
-            res = solve(program, *args, **kwargs)
-            points.setdefault(program.name, res.point)
-            return res
+        ccp = convex.ccp
 
         def recorded_ccp(starts_, *args, **kwargs):
             starts.extend(starts_)
             return ccp(starts_, *args, **kwargs)
 
-        monkeypatch.setattr(convex, "solve", recorded_solve)
         monkeypatch.setattr(convex, "ccp", recorded_ccp)
         assert check_collective(agg, 2).status is Status.FEASIBLE
-        k, T, n = 2, agg.periods, agg.goods
-        main = points[f"collective-k2-T{T}-n{n}"]
-        last_q, last_lam = starts[-1]
-        np.testing.assert_array_equal(last_lam, main[: k * T].reshape(k, T))
-        np.testing.assert_array_equal(last_q, main[k * T : k * T * (n + 1)].reshape(k, T, n))
-        for q, _ in starts[:-1]:
-            assert not np.array_equal(q, last_q)
+        shares = _share_starts(2, agg.goods)
+        assert len(starts) == len(shares)
+        for (q, lam), share in zip(starts, shares):
+            sub_q = share[:, None, :] * agg.quantities[None, :, :] * (1.0 - 1e-6)
+            np.testing.assert_array_equal(q, np.log(sub_q))
+            assert lam.shape == (2, agg.periods)
 
     def test_share_start_wins_in_three_repair_solves(self, monkeypatch):
         # from the main program's point this aggregate needs 20 repair solves
