@@ -11,8 +11,8 @@ consumer with the exact test, so a FEASIBLE verdict ships a checkable split.
 The search starts only from fixed share patterns: from the slack program's
 optimum it rarely found a witness, and then only after many repair solves,
 while a tilted share usually yields one within a few.  The slack program
-is still solved first, because its certified bound rejects and its optimum
-gates the search.
+is still solved first, because a certified bound of at least ``tol_reject``
+on its optimum rejects, and its optimum gates the search.
 
 Because every split variable lives in log space, splits where a consumer
 buys none of some good are unreachable; reported decisions are therefore
@@ -373,9 +373,10 @@ def check_collective(
     passes direct verification (with every residual below tol_accept times
     the observed quantity); an optional ``hint`` allocation is tried first.
 
-    Note the asymmetry: INFEASIBLE needs a certificate, and for k >= 2 the
-    relaxed program is satisfiable for any data, so failures to find a
-    witness are reported UNDECIDED rather than INFEASIBLE.
+    Note the asymmetry: for k >= 2 the only rejection is a certified lower
+    bound on the slack optimum of at least tol_reject, and as the relaxed
+    program is satisfiable for any data, failures to find a witness are
+    reported UNDECIDED rather than INFEASIBLE.
     """
     if not 0.0 < tol_accept < tol_reject:
         raise ValueError("need 0 < tol_accept < tol_reject")
@@ -416,11 +417,6 @@ def check_collective(
 
     prog = build_collective_program(stats, k)
     sol = convex.solve(prog)
-    if sol.status is Status.INFEASIBLE:
-        return CollectiveResult(
-            decision=Decision(Status.INFEASIBLE, optimum=sol.objective, detail=sol.message),
-            k=k,
-        )
     if not sol.objective_trace:  # phase I never finished: no slack optimum to judge
         return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=sol.message), k=k)
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:

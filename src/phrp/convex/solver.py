@@ -4,11 +4,11 @@ Phase I drives the maximum constraint violation negative by Newton descent
 on a log-sum-exp smoothing of the max with an increasing sharpness schedule.
 Phase II follows the standard logarithmic barrier path for the slack-sum
 objective, which also yields a certified lower bound on the optimum through
-the barrier duality gap.  INFEASIBLE is only reported with such a bound or
-an exact negative cycle in the affine difference-constraint subsystem.
-Everything else ambiguous is UNDECIDED, including a Phase I that stalls
-above tolerance: a stall of the smoothed descent certifies nothing about
-the program.
+the barrier duality gap.  The solver never rejects: it reports FEASIBLE
+when it reaches zero slack and UNDECIDED otherwise, with the point, the
+objective and the certified bound, and the caller decides which bound
+rejects its program.  A Phase I that stalls above tolerance is UNDECIDED
+too: a stall of the smoothed descent certifies nothing about the program.
 
 The solver is deterministic: no randomness, fixed schedules, fixed tie
 breaking.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ..harp import shortest_potentials
 from ..model import Status
 from .packed import PackedProgram
 from .program import LogConvexProgram
@@ -36,8 +35,9 @@ class SolveResult:
     """Outcome of one solve call.
 
     Attributes:
-        status: FEASIBLE (objective and violation within eps_feas),
-            INFEASIBLE (certified), or UNDECIDED.
+        status: FEASIBLE (objective and violation within eps_feas) or
+            UNDECIDED; never INFEASIBLE, as a positive ``lower_bound`` is
+            for the caller to judge.
         point: values of all program variables at the returned point.
         objective: sum of slack variables at the point.
         iterations: total Newton iterations spent (both phases).
@@ -66,45 +66,6 @@ class _Budget:
     def spend(self, k: int = 1) -> bool:
         self.used += k
         return self.used <= self.limit
-
-
-def _difference_cycle(packed: PackedProgram) -> list[int] | None:
-    """Exact infeasibility witness from the pure difference-constraint rows.
-
-    Rows of the form x_a - x_b + const <= 0 (no exponential terms) define a
-    shortest-path system; a strictly negative cycle proves the whole program
-    infeasible.  Returns the variable cycle or None.
-    """
-    n = packed.n
-    w = np.full((n, n), np.inf)
-    found = False
-    exp_rows = set(packed.lse_rows.tolist()) | set(packed.res_rows.tolist())
-    for local in range(packed.m):
-        if local in exp_rows:
-            continue
-        row = packed.A[local]
-        nz = np.flatnonzero(row)
-        if nz.size != 2:
-            continue
-        ca, cb = row[nz[0]], row[nz[1]]
-        if ca == 1.0 and cb == -1.0:
-            a, bvar = int(nz[0]), int(nz[1])
-        elif ca == -1.0 and cb == 1.0:
-            a, bvar = int(nz[1]), int(nz[0])
-        else:
-            continue
-        # x_a - x_b <= -b  => edge b -> a with weight -const
-        weight = -packed.b[local]
-        if weight < w[bvar, a]:
-            w[bvar, a] = weight
-            found = True
-    if not found:
-        return None
-    _, cycle = shortest_potentials(w)
-    if cycle is None:
-        return None
-    total = sum(w[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-    return cycle if total < -1e-12 else None
 
 
 class _Run:
@@ -136,21 +97,6 @@ class _Run:
         a = x - self.lo
         b = self.hi - x
         return a, b
-
-    def _recover_domain(self, x: NDArray[np.float64]) -> NDArray[np.float64] | None:
-        log_vars = np.array([k == "log" for k in self.kinds])
-        slack_vars = ~log_vars
-        for _ in range(120):
-            cache = self.packed.eval(x)
-            if cache.in_domain:
-                return x
-            x = x.copy()
-            x[log_vars] -= 0.7
-            x[slack_vars] = self.lo[slack_vars] + 0.25 * (
-                x[slack_vars] - self.lo[slack_vars]
-            )
-            x = self._interior_clip(x)
-        return None
 
     def _note_incumbent(self, x: NDArray[np.float64]) -> None:
         obj = float(self.c @ x)
@@ -259,19 +205,8 @@ class _Run:
         stalled = 0
         rho = 1.0
         while rho <= 4.1e9:
-            hit_interior = [False]
-
-            def on_accept(x_):
-                if violation(x_) < 0.0:
-                    hit_interior[0] = True
-
             x, _ = self._newton(
-                x,
-                merit_factory(rho),
-                grad_hess_factory(rho),
-                max_steps=40,
-                tol_dec=1e-12,
-                on_accept=on_accept,
+                x, merit_factory(rho), grad_hess_factory(rho), max_steps=40, tol_dec=1e-12
             )
             v = violation(x)
             if v < 0.0:
@@ -327,7 +262,6 @@ class _Run:
             return grad_hess
 
         t = 1.0
-        centered_gap = None
         for _ in range(60):
             x, _ = self._newton(
                 x,
@@ -342,33 +276,20 @@ class _Run:
             lb = float(self.c @ x) - 2.0 * gap
             if self.lower_bound is None or lb > self.lower_bound:
                 self.lower_bound = lb
-            centered_gap = gap
             if gap <= 0.5 * self.eps:
                 break
             if self.budget.used >= self.budget.limit:
                 break
             t *= 20.0
-        return x, centered_gap
+        return x
 
     # -- main ------------------------------------------------------------------
 
     def run(self) -> SolveResult:
-        packed = self.packed
-        cycle = _difference_cycle(packed)
-        if cycle is not None:
-            names = [self.program.variable_names[i] for i in cycle]
-            return self._result(
-                Status.INFEASIBLE,
-                self._interior_clip(self.program.start_point()),
-                message="negative cycle in difference constraints: " + " -> ".join(names),
-            )
         x = self._interior_clip(self.program.start_point())
-        recovered = self._recover_domain(x)
-        if recovered is None:
-            return self._result(
-                Status.UNDECIDED, x, message="no in-domain start point found"
-            )
-        x, v = self.phase_one(recovered)
+        if not self.packed.eval(x).in_domain:
+            return self._result(Status.UNDECIDED, x, message="start point outside the domain")
+        x, v = self.phase_one(x)
         if v >= 0.0:
             # a stall certifies nothing: descent on the smoothed max can stop
             # short of a feasible point that exists, or be stopped by the box
@@ -390,15 +311,8 @@ class _Run:
                     message="feasible point only found at the localization box boundary",
                 )
             return self._result(Status.FEASIBLE, x, message="strictly feasible point found")
-        x, _ = self.phase_two(x)
+        x = self.phase_two(x)
         x_best = self.incumbent_x if self.incumbent_x is not None else x
-        if self.lower_bound is not None and self.lower_bound > 10.0 * self.eps:
-            return self._result(
-                Status.INFEASIBLE,
-                x_best,
-                message=f"certified objective lower bound {self.lower_bound:.3e} "
-                f"exceeds 10*eps",
-            )
         obj = float(self.c @ x_best)
         if obj <= self.eps and self._max_violation(x_best) <= self.eps:
             if self._near_box_boundary(x_best):
@@ -415,7 +329,7 @@ class _Run:
         return self._result(
             Status.UNDECIDED,
             x_best,
-            message=f"objective {obj:.3e} between eps and certified-infeasible band",
+            message=f"slack objective {obj:.3e} above eps",
         )
 
     def _near_box_boundary(self, x: NDArray[np.float64]) -> bool:
@@ -446,6 +360,9 @@ def solve(
     program: LogConvexProgram, eps_feas: float = 1e-8, max_iter: int = 200_000
 ) -> SolveResult:
     """Solve the slack-minimization program to feasibility tolerance eps_feas.
+
+    The status is FEASIBLE or UNDECIDED, never INFEASIBLE: the certified
+    ``lower_bound`` of the result is reported, not judged.
 
     Args:
         program: structurally valid program.

@@ -149,8 +149,8 @@ def build_cross_graph(stats: MarketStatistics) -> CrossGraph:
     cross = stats.cross_expenditures()
     # over- or underflowed entries give infinite or NaN weights, which callers reject
     with np.errstate(divide="ignore", invalid="ignore"):
-        logc = np.log(cross)
-        weights = logc - np.diag(logc)[None, :]
+        weights = np.log(cross)
+        weights -= np.diag(weights).copy()[None, :]  # np.diag may return a view
     np.fill_diagonal(weights, 0.0)
     weights.setflags(write=False)
     cross.setflags(write=False)
@@ -256,6 +256,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
         )
     labels, cycle = shortest_potentials(graph.weights)
     if cycle is None:
+        del graph, cross  # verify_certificate builds its own cross expenditures
         lambdas = _softmax(labels)
         if not lambdas.min() > 0.0:  # labels more than ~745 apart underflow
             return HarpResult(Decision(Status.UNDECIDED, detail="multipliers span beyond float64"))

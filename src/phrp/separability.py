@@ -18,7 +18,7 @@ four mechanisms:
     construction, with the shortest-path mu; when the pair verifies, the
     verdict is SEPARABLE and no program is built;
   * otherwise the log-domain slack-minimization program built from (a)-(b),
-    whose certified infeasibility or positive optimum rejects;
+    which rejects when its optimum is certified to be at least tol_reject;
   * and a verified-certificate search, which improves ``lam`` by the
     convex-concave procedure of :func:`phrp.convex.ccp` (inner
     linearizations of (b)), resolving mu exactly at every iterate.
@@ -340,10 +340,10 @@ def check_separability(
     They come from the exact start (the y-block certificate with the
     shortest-path mu; ``optimum`` is then None, as no program is solved) or
     else from the certificate search after a slack optimum <= tol_accept.
-    NOT_SEPARABLE requires an exact necessary check to fail or the program
-    to be certifiably infeasible / bounded away from zero.  Anything in
-    between, and data whose cross expenditures overflow or underflow, is
-    UNDECIDED.
+    NOT_SEPARABLE requires an exact necessary check to fail or, the only
+    rejection by the program, a certified lower bound on its slack optimum
+    of at least tol_reject.  Anything in between, and data whose cross
+    expenditures overflow or underflow, is UNDECIDED.
     """
     if not 0.0 < tol_accept < tol_reject:
         raise ValueError("need 0 < tol_accept < tol_reject")
@@ -389,13 +389,6 @@ def check_separability(
 
     prog = build_separability_program(inst)
     sol = convex.solve(prog)
-    if sol.status is Status.INFEASIBLE:
-        return SeparabilityResult(
-            decision=Decision(
-                Status.INFEASIBLE, optimum=sol.objective, detail=sol.message
-            ),
-            violated_constraints=("program",),
-        )
     if not sol.objective_trace:  # phase I never finished: no slack optimum to judge
         return SeparabilityResult(decision=Decision(Status.UNDECIDED, detail=sol.message))
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,29 @@ class TestCheckCollective:
         assert res.status is Status.FEASIBLE
         assert verify_allocation(agg, res.allocation)
         assert sum(name.startswith("collective-repair-") for name in names) == 3
+
+    @pytest.mark.parametrize(
+        "bound, status, detail",
+        [
+            (1e-5, Status.UNDECIDED, "no verifiable split found within the search budget"),
+            (1e-4, Status.INFEASIBLE, "slack optimum certified >= 1.000e-04"),
+        ],
+    )
+    def test_only_tol_reject_rejects(self, monkeypatch, bound, status, detail):
+        # a main-solve bound above the solver's eps rejects only at tol_reject
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        solve = convex.solve
+
+        def bounded(program, *args, **kwargs):
+            res = solve(program, *args, **kwargs)
+            if "-repair-" in program.name:
+                return res
+            return dataclasses.replace(res, lower_bound=bound, objective=2.0 * bound)
+
+        monkeypatch.setattr(convex, "solve", bounded)
+        res = check_collective(agg, 2, tol_reject=1e-4)
+        assert res.status is status
+        assert res.decision.detail == detail
 
     def test_hint_short_circuits(self):
         agg, witness = make_aggregate(3)

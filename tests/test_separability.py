@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from conftest import (
 )
 from phrp import convex
 from phrp.datagen import CobbDouglasSpec, gen_nested_cd
-from phrp.harp import PiecewiseLinearUtility
+from phrp.harp import PiecewiseLinearUtility, check_harp
 from phrp.model import MarketStatistics, Status, partition
 from phrp.separability import (
     InvalidMultipliersError,
@@ -183,6 +185,47 @@ class TestCheckSeparability:
         # the stalled phase-I point is no slack optimum, so none is reported
         assert res.decision.detail.startswith("phase I stalled")
         assert res.decision.optimum is None
+
+    def test_y_cycle_inside_the_tolerance_band_is_undecided(self):
+        # goods 0-1 are the q-block and goods 2-3 the y-block, whose 2-cycle
+        # has log weight -5e-11: inside check_harp's band, so no rejection
+        d = -2e-10
+        stats = MarketStatistics(
+            prices=[[1.0, 2.0, 1.0, 3.0], [2.0, 1.0, 1.0, 1.0]],
+            quantities=[[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0 + d]],
+        )
+        part = partition(stats, [2, 3])
+        y_res = check_harp(part.y_statistics())
+        assert y_res.status is Status.UNDECIDED
+        assert "within tolerance band" in y_res.decision.detail
+        res = check_separability(part)
+        assert res.status is Status.UNDECIDED
+        assert res.decision.detail == (
+            "phase I ended at violation 2.500e-11 inside the ambiguity band"
+        )
+
+    @pytest.mark.parametrize(
+        "bound, status, detail",
+        [
+            (1e-5, Status.UNDECIDED, "slack optimum 2.000e-05 inside the ambiguity band"),
+            (1e-4, Status.INFEASIBLE, "slack optimum certified >= 1.000e-04"),
+        ],
+    )
+    def test_only_tol_reject_rejects(self, monkeypatch, bound, status, detail):
+        # a main-solve bound above the solver's eps rejects only at tol_reject
+        part = perturbed_nested(5030, 5, sigma=0.3, noise_seed=35)
+        solve = convex.solve
+
+        def bounded(program, *args, **kwargs):
+            res = solve(program, *args, **kwargs)
+            if "-repair-" in program.name:
+                return res
+            return dataclasses.replace(res, lower_bound=bound, objective=2.0 * bound)
+
+        monkeypatch.setattr(convex, "solve", bounded)
+        res = check_separability(part, tol_reject=1e-4)
+        assert res.status is status
+        assert res.decision.detail == detail
 
     @pytest.mark.parametrize("factor", [1e160, 1e200, 1e-200])
     def test_overflow_or_underflow_is_undecided(self, factor):
