@@ -131,8 +131,9 @@ def build_collective_program(stats: MarketStatistics, k: int) -> convex.LogConve
     gam = k * T * (n + 1) + np.arange(T * n).reshape(T, n)
     for a, t in np.ndindex(k, T):
         prog.add_log_variable(f"lam[{a},{t}]", start=-np.log(2.0 * T))
+    q_start = np.clip(np.log(Q / (2.0 * k)), -29.0, 29.0)  # inside the box at any units
     for a, t, i in np.ndindex(k, T, n):
-        prog.add_log_variable(f"q[{a},{t},{i}]", start=float(np.log(Q[t, i] / (2.0 * k))))
+        prog.add_log_variable(f"q[{a},{t},{i}]", start=float(q_start[t, i]))
     for t, i in np.ndindex(T, n):
         prog.add_slack_variable(f"gamma[{t},{i}]", cap=float(Q[t, i]), start=float(Q[t, i] / 4.0))
 
@@ -206,33 +207,18 @@ def _per_consumer_lambdas(
 
 
 def _extract_allocation(
-    stats: MarketStatistics, qtil: NDArray[np.float64], tol_accept: float
+    stats: MarketStatistics, qtil: NDArray[np.float64]
 ) -> AllocationSolution | None:
-    """Polish a log-split onto exact balance and validate it per consumer."""
+    """Rescale a log-split onto exact balance and validate it per consumer."""
     Q = stats.quantities
     sub_q = np.exp(qtil)
-    total = sub_q.sum(axis=0)
-    scaled = sub_q * (Q / total)[None, :, :]
+    scaled = sub_q * (Q / sub_q.sum(axis=0))[None, :, :]
     lams = _per_consumer_lambdas(stats, scaled)
-    if lams is not None:
-        residuals = np.maximum(Q - scaled.sum(axis=0), 0.0)
-        alloc = AllocationSolution(
-            sub_quantities=scaled, sub_lambdas=lams, residuals=residuals, totals=Q
-        )
-        if verify_allocation(stats, alloc):
-            return alloc
-    # fall back to the unpolished split when its residual is already tiny
-    residuals = Q - total
-    if np.any(residuals < -1e-9 * Q) or np.any(residuals > tol_accept * Q):
-        return None
-    lams = _per_consumer_lambdas(stats, sub_q)
     if lams is None:
         return None
+    residuals = np.maximum(Q - scaled.sum(axis=0), 0.0)
     alloc = AllocationSolution(
-        sub_quantities=sub_q,
-        sub_lambdas=lams,
-        residuals=np.maximum(residuals, 0.0),
-        totals=Q,
+        sub_quantities=scaled, sub_lambdas=lams, residuals=residuals, totals=Q
     )
     return alloc if verify_allocation(stats, alloc) else None
 
@@ -417,8 +403,8 @@ def check_collective(
 
     prog = build_collective_program(stats, k)
     sol = convex.solve(prog)
-    if not sol.objective_trace:  # phase I never finished: no slack optimum to judge
-        return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=sol.message), k=k)
+    if sol.stalled is not None:  # phase I never finished: no slack optimum to judge
+        return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=sol.stalled), k=k)
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
         return CollectiveResult(
             decision=Decision(
@@ -433,7 +419,7 @@ def check_collective(
     if sol.objective <= tol_accept:
         alloc = convex.ccp(
             _search_starts(stats, k),
-            lambda state: _extract_allocation(stats, state[0], tol_accept),
+            lambda state: _extract_allocation(stats, state[0]),
             lambda state: _linearise(stats, k, state),
             rounds=30,
             max_iter=40_000,

@@ -42,7 +42,7 @@ def ccp(starts, accept, linearise, *, rounds: int, max_iter: int, step_tol: floa
     that state, gives the repair program and ``unpack``; the program is
     solved at ``eps_feas=1e-9`` within ``max_iter`` Newton steps, and
     ``unpack(point)`` gives the next state and the step to it, whatever the
-    repair solve's status.  A start ends after ``rounds`` rounds, a step
+    repair solve returned.  A start ends after ``rounds`` rounds, a step
     below ``step_tol``, or 3 rounds in a row that did not lower the slack
     objective; ``accept`` is then tried once more on its last state.
     """

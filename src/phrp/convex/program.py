@@ -150,10 +150,6 @@ class LogConvexProgram:
         return len(self._variables)
 
     @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self._variables)
-
-    @property
     def blocks(self) -> tuple[RowBlock, ...]:
         return tuple(self._blocks)
 
@@ -165,9 +161,6 @@ class LogConvexProgram:
         lo = np.array([v.lower for v in self._variables])
         hi = np.array([v.upper for v in self._variables])
         return lo, hi
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(v.kind for v in self._variables)
 
     def start_point(self) -> NDArray[np.float64]:
         return np.array([v.start for v in self._variables])

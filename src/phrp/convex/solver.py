@@ -3,12 +3,13 @@
 Phase I drives the maximum constraint violation negative by Newton descent
 on a log-sum-exp smoothing of the max with an increasing sharpness schedule.
 Phase II follows the standard logarithmic barrier path for the slack-sum
-objective, which also yields a certified lower bound on the optimum through
-the barrier duality gap.  The solver never rejects: it reports FEASIBLE
-when it reaches zero slack and UNDECIDED otherwise, with the point, the
-objective and the certified bound, and the caller decides which bound
-rejects its program.  A Phase I that stalls above tolerance is UNDECIDED
-too: a stall of the smoothed descent certifies nothing about the program.
+objective; at each centred point of that path the barrier duality gap
+yields a certified lower bound on the optimum.  The solver judges nothing:
+it returns the best point, its objective and the bound, and the caller
+decides which objective accepts and which bound rejects its program.  When
+Phase I stalls above tolerance the solver says why, and there is no optimum
+to judge: a stall of the smoothed descent certifies nothing about the
+program.
 
 The solver is deterministic: no randomness, fixed schedules, fixed tie
 breaking.
@@ -22,50 +23,31 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ..model import Status
 from .packed import PackedProgram
 from .program import LogConvexProgram
 
 _BOX_MARGIN = 1e-9
-_BOUNDARY_DEMOTION = 1e-6
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one solve call.
+    """Outcome of one solve call, for the caller to judge.
 
     Attributes:
-        status: FEASIBLE (objective and violation within eps_feas) or
-            UNDECIDED; never INFEASIBLE, as a positive ``lower_bound`` is
-            for the caller to judge.
-        point: values of all program variables at the returned point.
+        point: values of all program variables: the best strictly feasible
+            point found, or where Phase I stopped when ``stalled`` is set.
         objective: sum of slack variables at the point.
         iterations: total Newton iterations spent (both phases).
-        max_violation: largest constraint value g_j at the point.
-        lower_bound: best certified lower bound on the optimum, if any.
-        objective_trace: non-increasing incumbent objective after each
-            accepted Phase-II step.
-        message: diagnostic text.
+        lower_bound: best lower bound on the optimum certified by the
+            duality gap at a centred barrier point, or None.
+        stalled: why Phase I did not reach the interior, or None when it did.
     """
 
-    status: Status
     point: NDArray[np.float64]
     objective: float
     iterations: int
-    max_violation: float
     lower_bound: float | None
-    objective_trace: tuple[float, ...]
-    message: str
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, k: int = 1) -> bool:
-        self.used += k
-        return self.used <= self.limit
+    stalled: str | None
 
 
 class _Run:
@@ -73,13 +55,12 @@ class _Run:
         self.program = program
         self.packed = PackedProgram(program)
         self.eps = eps_feas
-        self.budget = _Budget(max_iter)
+        self.max_iter = max_iter
+        self.used = 0
         self.lo = self.packed.lo
         self.hi = self.packed.hi
         self.c = self.packed.c
         self.n = self.packed.n
-        self.kinds = program.kinds()
-        self.trace: list[float] = []
         self.incumbent_obj = math.inf
         self.incumbent_x: NDArray[np.float64] | None = None
         self.lower_bound: float | None = None
@@ -103,15 +84,16 @@ class _Run:
         if obj < self.incumbent_obj:
             self.incumbent_obj = obj
             self.incumbent_x = x.copy()
-        self.trace.append(min(obj, self.trace[-1]) if self.trace else obj)
 
     def _newton(self, x, merit, grad_hess, max_steps, tol_dec, on_accept=None):
-        """Damped Newton descent; returns (x, converged)."""
+        """Damped Newton descent; returns (x, centred), where centred means
+        that the last step's Newton decrement passed ``tol_dec``."""
         fx = merit(x)
         if not np.isfinite(fx):
             return x, False
         for _ in range(max_steps):
-            if not self.budget.spend():
+            self.used += 1
+            if self.used > self.max_iter:
                 return x, False
             g, H = grad_hess(x)
             ridge = 1e-12 * (1.0 + abs(float(np.trace(H))) / max(1, self.n))
@@ -144,12 +126,12 @@ class _Run:
                     break
                 alpha *= 0.5
             if not accepted:
-                return x, True  # no further progress possible
+                return x, False  # no further progress possible
             if on_accept is not None:
                 on_accept(x)
             if decrement / 2.0 <= tol_dec:
                 return x, True
-        return x, True
+        return x, False
 
     # -- phase I ---------------------------------------------------------------
 
@@ -263,7 +245,7 @@ class _Run:
 
         t = 1.0
         for _ in range(60):
-            x, _ = self._newton(
+            x, centred = self._newton(
                 x,
                 merit_factory(t),
                 grad_hess_factory(t),
@@ -273,102 +255,60 @@ class _Run:
             )
             self._note_incumbent(x)
             gap = m_total / t
-            lb = float(self.c @ x) - 2.0 * gap
-            if self.lower_bound is None or lb > self.lower_bound:
-                self.lower_bound = lb
+            if centred:  # the gap bounds the optimum only near the central path
+                lb = float(self.c @ x) - 2.0 * gap
+                if self.lower_bound is None or lb > self.lower_bound:
+                    self.lower_bound = lb
             if gap <= 0.5 * self.eps:
                 break
-            if self.budget.used >= self.budget.limit:
+            if self.used >= self.max_iter:
                 break
             t *= 20.0
-        return x
 
     # -- main ------------------------------------------------------------------
 
     def run(self) -> SolveResult:
         x = self._interior_clip(self.program.start_point())
         if not self.packed.eval(x).in_domain:
-            return self._result(Status.UNDECIDED, x, message="start point outside the domain")
+            return self._result(x, "start point outside the domain")
         x, v = self.phase_one(x)
         if v >= 0.0:
             # a stall certifies nothing: descent on the smoothed max can stop
             # short of a feasible point that exists, or be stopped by the box
-            if self.budget.used >= self.budget.limit:
-                message = "iteration budget exhausted in phase I"
-            elif self._near_box_boundary(x):
-                message = f"phase I stalled at violation {v:.3e} at the localization box boundary"
-            elif v > 10.0 * self.eps:
-                message = f"phase I stalled at violation {v:.3e}"
-            else:
-                message = f"phase I ended at violation {v:.3e} inside the ambiguity band"
-            return self._result(Status.UNDECIDED, x, message=message)
+            if self.used >= self.max_iter:
+                return self._result(x, "iteration budget exhausted in phase I")
+            if v > 10.0 * self.eps:
+                return self._result(x, f"phase I stalled at violation {v:.3e}")
+            return self._result(x, f"phase I ended at violation {v:.3e} inside the ambiguity band")
         self._note_incumbent(x)
-        if not np.any(self.c):
-            if self._near_box_boundary(x):
-                return self._result(
-                    Status.UNDECIDED,
-                    x,
-                    message="feasible point only found at the localization box boundary",
-                )
-            return self._result(Status.FEASIBLE, x, message="strictly feasible point found")
-        x = self.phase_two(x)
-        x_best = self.incumbent_x if self.incumbent_x is not None else x
-        obj = float(self.c @ x_best)
-        if obj <= self.eps and self._max_violation(x_best) <= self.eps:
-            if self._near_box_boundary(x_best):
-                return self._result(
-                    Status.UNDECIDED,
-                    x_best,
-                    message="optimum at the localization box boundary",
-                )
-            return self._result(Status.FEASIBLE, x_best, message="slack objective at zero")
-        if self.budget.used >= self.budget.limit:
-            return self._result(
-                Status.UNDECIDED, x_best, message="iteration budget exhausted"
-            )
-        return self._result(
-            Status.UNDECIDED,
-            x_best,
-            message=f"slack objective {obj:.3e} above eps",
-        )
+        if np.any(self.c):
+            self.phase_two(x)
+        return self._result(self.incumbent_x)
 
-    def _near_box_boundary(self, x: NDArray[np.float64]) -> bool:
-        thr = _BOUNDARY_DEMOTION * max(1.0, self.program.box_bound)
-        for i, kind in enumerate(self.kinds):
-            if kind == "log" and (x[i] - self.lo[i] < thr or self.hi[i] - x[i] < thr):
-                return True
-        return False
-
-    def _max_violation(self, x) -> float:
-        values = self.packed.eval(x).values
-        return float(values.max()) if values.size else -math.inf
-
-    def _result(self, status, x, message=""):
+    def _result(self, x, stalled=None):
         return SolveResult(
-            status=status,
             point=x.copy(),
             objective=float(self.c @ x),
-            iterations=self.budget.used,
-            max_violation=self._max_violation(x),
+            iterations=self.used,
             lower_bound=self.lower_bound,
-            objective_trace=tuple(self.trace),
-            message=message,
+            stalled=stalled,
         )
 
 
 def solve(
     program: LogConvexProgram, eps_feas: float = 1e-8, max_iter: int = 200_000
 ) -> SolveResult:
-    """Solve the slack-minimization program to feasibility tolerance eps_feas.
+    """Minimize the slack sum of the program; Phase II stops once the
+    barrier duality gap is below eps_feas / 2.
 
-    The status is FEASIBLE or UNDECIDED, never INFEASIBLE: the certified
-    ``lower_bound`` of the result is reported, not judged.
+    The result is reported, not judged: the caller decides what its
+    objective and certified ``lower_bound`` mean for the program.
 
     Args:
         program: structurally valid program.
         eps_feas: feasibility/objective tolerance in (0, 1e-3].
-        max_iter: total Newton iteration budget; exhausting it yields
-            UNDECIDED, never a definite answer.
+        max_iter: total Newton iteration budget; an exhausted budget ends
+            the solve with the best point so far.
     """
     if not 0.0 < eps_feas <= 1e-3:
         raise ValueError("eps_feas must lie in (0, 1e-3]")

@@ -79,8 +79,8 @@ class Decision:
     """Outcome of a decision procedure.
 
     UNDECIDED is reserved for genuine numerical ambiguity: an optimum inside
-    the configured ambiguity band, or independent verification contradicting
-    the solver status.
+    the configured ambiguity band, a solve whose phase I stalled, or a
+    solver point that fails independent verification.
 
     Attributes:
         status: FEASIBLE / INFEASIBLE / UNDECIDED.
@@ -91,10 +91,6 @@ class Decision:
     status: Status
     optimum: float | None = None
     detail: str = ""
-
-    @property
-    def decided(self) -> bool:
-        return self.status is not Status.UNDECIDED
 
 
 def _as_positive_matrix(values, name: str) -> NDArray[np.float64]:

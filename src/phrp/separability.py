@@ -24,7 +24,7 @@ four mechanisms:
     linearizations of (b)), resolving mu exactly at every iterate.
 
 Acceptance always re-validates (a)-(b) directly, so a SEPARABLE verdict never
-rests on solver status alone.
+rests on the solver alone.
 """
 
 from __future__ import annotations
@@ -95,14 +95,6 @@ class MacroUtility:
         q = np.asarray(q, dtype=np.float64)
         values = self.mus * (self.q_prices @ q + z * self.inv_lambdas)
         return float(values.min())
-
-    @property
-    def coefficients(self) -> tuple[tuple[float, NDArray[np.float64], float], ...]:
-        """Triples (mu_t, price row, 1/lam_t) defining the min-form."""
-        return tuple(
-            (float(m), row, float(il))
-            for m, row, il in zip(self.mus, self.q_prices, self.inv_lambdas)
-        )
 
 
 @dataclass(frozen=True)
@@ -389,8 +381,8 @@ def check_separability(
 
     prog = build_separability_program(inst)
     sol = convex.solve(prog)
-    if not sol.objective_trace:  # phase I never finished: no slack optimum to judge
-        return SeparabilityResult(decision=Decision(Status.UNDECIDED, detail=sol.message))
+    if sol.stalled is not None:  # phase I never finished: no slack optimum to judge
+        return SeparabilityResult(decision=Decision(Status.UNDECIDED, detail=sol.stalled))
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
         return SeparabilityResult(
             decision=Decision(

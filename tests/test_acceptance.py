@@ -166,17 +166,17 @@ def test_criterion_03_utility_reconstruction(harp_corpus, harp_results):
 def _interior_point(prog, rng):
     packed = PackedProgram(prog)
     base = prog.start_point()
-    kinds = np.array(prog.kinds())
+    slack = np.zeros(base.size, dtype=bool)
+    slack[list(prog.slack_indices)] = True
     for _ in range(80):
         x = base.copy()
-        x[kinds == "log"] += rng.uniform(-0.35, 0.35, int((kinds == "log").sum()))
-        slack = kinds == "slack"
+        x[~slack] += rng.uniform(-0.35, 0.35, int((~slack).sum()))
         x[slack] = packed.lo[slack] + rng.uniform(0.05, 0.6) * (
             packed.hi[slack] - packed.lo[slack]
         )
         if packed.eval(x).in_domain:
             return x
-        base[kinds == "log"] -= 0.25
+        base[~slack] -= 0.25
     raise AssertionError("no interior point found")
 
 

@@ -235,6 +235,16 @@ class TestCheckCollective:
         assert res.decision.detail.startswith("phase I stalled")
         assert res.decision.optimum is None
 
+    @pytest.mark.parametrize("factor", [1e14, 1e-12])
+    def test_quantity_units_are_no_rejection(self, factor):
+        # quantities times factor and prices divided by it leave every cross
+        # expenditure, and so the truth (FEASIBLE), as it was; at 1e14 the
+        # quantity logs start outside the box unless clipped, and the bound
+        # of an uncentred barrier round used to reject
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        stats = MarketStatistics(prices=agg.prices / factor, quantities=agg.quantities * factor)
+        assert check_collective(stats, 2).status is not Status.INFEASIBLE
+
     def test_starts_are_the_share_patterns(self, monkeypatch):
         agg, _ = make_aggregate(9012, periods=6, goods=2)
         starts = []

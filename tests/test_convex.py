@@ -10,8 +10,9 @@ import pytest
 from conftest import make_aggregate, make_nested, perturbed_nested, reference_values
 from phrp import collective, convex, separability
 from phrp.collective import build_collective_program
+from phrp.convex import solver
 from phrp.convex.packed import PackedProgram
-from phrp.model import Status
+from phrp.model import MarketStatistics
 from phrp.separability import SeparabilityInstance, build_separability_program
 
 NO_TERMS = ((), (), ())
@@ -127,18 +128,19 @@ def _random_interior_point(prog, rng):
     """Start point jittered inside the box and the residual domains."""
     packed = PackedProgram(prog)
     x0 = prog.start_point()
-    kinds = prog.kinds()
+    slack = np.zeros(x0.size, dtype=bool)
+    slack[list(prog.slack_indices)] = True
     for _ in range(60):
         x = x0.copy()
-        for i, kind in enumerate(kinds):
-            if kind == "log":
+        for i, is_slack in enumerate(slack):
+            if not is_slack:
                 x[i] += rng.uniform(-0.4, 0.4)
             else:
                 lo, hi = packed.lo[i], packed.hi[i]
                 x[i] = rng.uniform(lo + 0.05 * (hi - lo), lo + 0.6 * (hi - lo))
         if packed.eval(x).in_domain:
             return x
-        x0[np.array(kinds) == "log"] -= 0.3
+        x0[~slack] -= 0.3
     raise AssertionError("no interior point found")
 
 
@@ -210,7 +212,7 @@ class TestSolve:
         prog = convex.LogConvexProgram()
         prog.add_log_variable("x", start=0.25)
         res = convex.solve(prog)
-        assert res.status is Status.FEASIBLE
+        assert res.stalled is None
         assert res.objective == 0.0
         np.testing.assert_allclose(res.point, [0.25])
 
@@ -220,9 +222,9 @@ class TestSolve:
         g = prog.add_slack_variable("gamma", cap=2.0, start=1.0)
         _row(prog, 0.5, {g: -1.0}, label="force")
         res = convex.solve(prog)
-        assert res.status is Status.UNDECIDED
+        assert res.stalled is None
         assert res.objective == pytest.approx(0.5, abs=1e-6)
-        assert res.lower_bound is not None and res.lower_bound > 1e-7
+        assert res.lower_bound is not None and 1e-7 < res.lower_bound <= res.objective
 
     def test_start_outside_the_domain_is_undecided(self):
         # 0 <= log(1 - 2 exp(x)) has no residual at the start x = 0
@@ -231,9 +233,9 @@ class TestSolve:
         residual = ([[0.0]], [1.0], ([0], [2.0], [0]))
         prog.add_constraint("res", np.zeros((1, 0)), [0.0], res=residual)
         res = convex.solve(prog)
-        assert res.status is Status.UNDECIDED
-        assert res.message == "start point outside the domain"
+        assert res.stalled == "start point outside the domain"
         assert res.iterations == 0
+        assert res.lower_bound is None
 
     def test_reachable_zero_slack(self):
         prog = convex.LogConvexProgram()
@@ -241,9 +243,9 @@ class TestSolve:
         s = prog.add_slack_variable("s", cap=1.0, start=0.5)
         _row(prog, 0.0, {x: 1.0, s: -1.0})
         res = convex.solve(prog)
-        assert res.status is Status.FEASIBLE
+        assert res.stalled is None
         assert res.objective <= 1e-8
-        assert res.max_violation <= 1e-8
+        assert reference_values(prog, res.point).max() <= 1e-8
 
     def test_determinism(self):
         def build():
@@ -259,19 +261,27 @@ class TestSolve:
 
         res1 = convex.solve(build())
         res2 = convex.solve(build())
-        assert res1.status == res2.status
+        assert res1.stalled == res2.stalled
         assert res1.objective == res2.objective
+        assert res1.lower_bound == res2.lower_bound
         assert res1.iterations == res2.iterations
         np.testing.assert_array_equal(res1.point, res2.point)
 
-    def test_monotone_objective_trace(self, feasible2):
-        del feasible2
+    def test_monotone_objective_trace(self, monkeypatch):
+        # the returned point is the incumbent: the best of every phase-II point
         part = make_nested(0, periods=4, q_goods=2, y_goods=2)
         prog = build_separability_program(SeparabilityInstance.from_partition(part))
+        seen = []
+        note = solver._Run._note_incumbent
+
+        def recorded(run, x):
+            seen.append(float(run.c @ x))
+            note(run, x)
+
+        monkeypatch.setattr(solver._Run, "_note_incumbent", recorded)
         res = convex.solve(prog)
-        trace = res.objective_trace
-        assert len(trace) > 1
-        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert len(seen) > 1
+        assert res.objective == min(seen)
 
     def test_box_respected(self):
         part = make_nested(1, periods=3, q_goods=2, y_goods=2)
@@ -281,27 +291,19 @@ class TestSolve:
         assert np.all(res.point >= lo - 1e-12)
         assert np.all(res.point <= hi + 1e-12)
 
-    def test_boundary_demotion(self):
-        prog = convex.LogConvexProgram(box_bound=30.0)
-        x = prog.add_log_variable("x", start=0.0)
-        # feasible only within 1e-8 of the box edge
-        _row(prog, 30.0 - 1e-8, {x: -1.0})
-        res = convex.solve(prog)
-        assert res.status is Status.UNDECIDED
-        assert "boundary" in res.message
-
     def test_budget_exhaustion_is_undecided(self):
         part = make_nested(2, periods=4, q_goods=2, y_goods=2)
         prog = build_separability_program(SeparabilityInstance.from_partition(part))
         res = convex.solve(prog, max_iter=3)
-        assert res.status is Status.UNDECIDED
+        assert res.stalled == "iteration budget exhausted in phase I"
+        assert res.lower_bound is None
 
     def test_feasible_soundness_reevaluation(self):
         # program built from exactly-separable data reaches zero slack
         part = make_nested(3, periods=5, q_goods=2, y_goods=2)
         prog = build_separability_program(SeparabilityInstance.from_partition(part))
         res = convex.solve(prog)
-        assert res.status is Status.FEASIBLE
+        assert res.stalled is None
         assert reference_values(prog, res.point).max() <= 1e-8
         assert res.objective <= 1e-8
 
@@ -310,8 +312,19 @@ class TestSolve:
         x = prog.add_log_variable("x", start=0.0)
         _row(prog, 40.0, {x: -1.0})  # x >= 40, outside the box
         res = convex.solve(prog)
-        assert res.status is Status.UNDECIDED
-        assert "box boundary" in res.message
+        assert res.stalled.startswith("phase I stalled at violation")
+        assert res.lower_bound is None
+
+    def test_bound_only_from_centred_points(self):
+        # quantities times 1e6 and prices divided by it leave the program
+        # feasible (optimum 0); the first barrier round's 60 Newton steps
+        # end far from the central path
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        stats = MarketStatistics(prices=agg.prices / 1e6, quantities=agg.quantities * 1e6)
+        res = convex.solve(build_collective_program(stats, 2))
+        assert res.stalled is None
+        assert res.lower_bound is not None
+        assert res.lower_bound <= res.objective
 
     def test_eps_validation(self):
         prog = convex.LogConvexProgram()
