@@ -3,34 +3,38 @@
 The observed demand is k-consumer rationalizable when it splits into k
 strictly positive per-consumer demands, each PH-rationalizable on its own,
 that sum componentwise to the data.  For k = 1 this is the exact
-graph-based test; for k >= 2 the decision works through the log-domain
-slack program over per-consumer multipliers and quantity logs, plus a
-witness search by the convex-concave procedure of :func:`phrp.convex.ccp`:
-candidate splits are rescaled onto exact balance and then validated per
-consumer with the exact test, so a FEASIBLE verdict ships a checkable split.
-The search starts only from fixed share patterns: from the slack program's
-optimum it rarely found a witness, and then only after many repair solves,
-while a tilted share usually yields one within a few.  The slack program
-is still solved first, because a certified bound of at least ``tol_reject``
-on its optimum rejects, and its optimum gates the search.
+graph-based test.  For k >= 2 the log-domain slack program over
+per-consumer multipliers and quantity logs is solved first: a certified
+bound of at least ``tol_reject`` on its optimum rejects, and its optimum
+gates a witness search.  Under PH each consumer's inequalities
+lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t are linear in the split
+once the multipliers are fixed, and fix the multipliers by a min-max-cycle
+LP once the split is fixed; the search alternates these two exact LP
+steps from fixed share patterns.  Every split it reaches is rescaled onto
+exact balance and validated per consumer with the exact test, so a FEASIBLE
+verdict ships a checkable split whatever the LPs returned.
 
-Because every split variable lives in log space, splits where a consumer
+The slack program's split variables live in log space and the split LP
+leaves every consumer a share of every good, so splits where a consumer
 buys none of some good are unreachable; reported decisions are therefore
 about strictly positive allocations (interior splits).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.optimize import linprog
 
 from . import convex
-from .harp import build_cross_graph, check_harp, shortest_potentials, verify_certificate
+from .harp import check_harp, verify_certificate
 from .model import Decision, MarketStatistics, Status
 
-_MAIN_MARGIN = 1e-7  # interior margin imposed on per-consumer constraints
+_FLOOR = 1e-6  # least share of each good the split step leaves a consumer
+_LOG_SPAN = 300.0  # |log multiplier| cap: exp(d - max d) stays a positive float64
 
 
 @dataclass(frozen=True)
@@ -223,17 +227,6 @@ def _extract_allocation(
     return alloc if verify_allocation(stats, alloc) else None
 
 
-def _start_lambdas(stats: MarketStatistics, sub_q: NDArray[np.float64]):
-    """Per-consumer shortest-path labels; zeros where a consumer's split has a cycle."""
-    out = np.zeros((sub_q.shape[0], stats.periods))
-    for a, q in enumerate(sub_q):
-        graph = build_cross_graph(MarketStatistics(prices=stats.prices, quantities=q))
-        labels, _ = shortest_potentials(graph.weights)
-        if labels is not None:
-            out[a] = labels
-    return out
-
-
 def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
     """Deterministic share patterns over consumers x goods, summing to 1.
 
@@ -262,87 +255,99 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
     return patterns
 
 
-def _search_starts(stats: MarketStatistics, k: int):
-    """The witness search's (log split, log multipliers) starts: one per
-    share pattern of :func:`_share_starts`, in order."""
-    starts = []
-    for share in _share_starts(k, stats.goods):
-        sub_q = share[:, None, :] * stats.quantities[None, :, :] * (1.0 - 1e-6)
-        starts.append((np.log(sub_q), _start_lambdas(stats, sub_q)))
-    return starts
+def _multiplier_step(stats: MarketStatistics, sub_q: NDArray[np.float64]):
+    """Per consumer, the multipliers that best fit its split; None if a log
+    is not finite or an LP fails.
 
-
-def _linearise(stats: MarketStatistics, k: int, state):
-    """The repair program of the k-consumer search at (log split, log multipliers).
-
-    Its variables are lam (k, T), q (k, T, n) and the slack u, in that
-    order.  First come the rows afriat[a, t, tau], per consumer and ordered
-    pair t != tau (row-major), with the concave log(p^tau . q_a^t) replaced
-    by its tangent.  Then, per (t, i), the row fill[t, i] (the balance
-    Q - sum_a q_a <= u, linearized) alternates with cap[t, i] (sum_a q_a <= Q).
+    One LP per consumer a over the log multipliers d, with d_0 = 0 and
+    |d| <= _LOG_SPAN: minimise s subject to, for t != tau,
+    d_t - d_tau + log(p^t . q_a^t) - log(p^tau . q_a^t) <= s.
+    The multipliers are exp(d - max d).
     """
-    qtil_hat, lam_hat = state
-    T, n = stats.periods, stats.goods
-    P, Q = stats.prices, stats.quantities
-    exp_hat = np.exp(qtil_hat)  # (k, T, n)
+    T = stats.periods
     t, tau = np.nonzero(~np.eye(T, dtype=bool))
-    lam_var = np.arange(k * T).reshape(k, T)
-    q_var = k * T + np.arange(k * T * n).reshape(k, T, n)
-    n_afriat = k * t.size
-    coef = np.zeros((n_afriat + 2 * T * n, k * T * (n + 1) + 1))
-    const = np.empty(len(coef))
-    violation = 0.0
-    for a in range(k):  # per consumer, so that every sum keeps its order
-        logc = np.log(np.einsum("si,ti->st", P, exp_hat[a]))  # p^s . qhat_a^t
-        g = lam_hat[a, t] - lam_hat[a, tau] + logc[t, t] - logc[tau, t] + _MAIN_MARGIN
-        violation = max(violation, float(g.max()))
-        denom = np.einsum("si,ti->ts", P, exp_hat[a])[t, tau]  # p^tau . qhat_a^t
-        w = P[tau] * exp_hat[a, t] / denom[:, None]
-        rows = a * t.size + np.arange(t.size)
-        # stacked matmul rounds like the dot product w @ q; (w * q).sum(-1) does not
-        tangent = (w[:, None, :] @ qtil_hat[a, t][:, :, None])[:, 0, 0]
-        const[rows] = -np.log(denom) + tangent + _MAIN_MARGIN
-        coef[rows, lam_var[a, t]] = 1.0
-        coef[rows, lam_var[a, tau]] = -1.0
-        coef[rows[:, None], q_var[a, t]] = -w
-    violation = max(violation, float((Q - exp_hat.sum(axis=0)).max()))
-    fill = n_afriat + 2 * np.arange(T * n)
-    cap = fill + 1
-    filled = Q
-    for a in range(k):
-        filled = filled + exp_hat[a] * (qtil_hat[a] - 1.0)
-        coef[fill, q_var[a].ravel()] = -exp_hat[a].ravel()
-    const[fill] = filled.ravel()
-    const[cap] = -np.log(Q).ravel()
-    coef[:, -1] = -1.0
-    coef[cap, -1] = 0.0
-    terms = (
-        np.concatenate([np.repeat(np.arange(n_afriat), n), np.repeat(cap, k)]),
-        np.concatenate([np.tile(P[t].ravel(), k), np.ones(T * n * k)]),
-        np.concatenate([q_var[:, t].ravel(), q_var.transpose(1, 2, 0).ravel()]),
-    )
-    start = np.concatenate([lam_hat.ravel(), qtil_hat.ravel()])
-    program = convex.linearised_program(
-        f"collective-repair-k{k}", start, violation, coef, const, terms
-    )
-
-    def unpack(point):
-        qtil = point[k * T : k * T * (n + 1)].reshape(k, T, n)
-        return (qtil, point[: k * T].reshape(k, T)), float(np.max(np.abs(qtil - qtil_hat)))
-
-    return program, unpack
+    A = np.hstack([np.eye(T)[t] - np.eye(T)[tau], -np.ones((t.size, 1))])
+    bounds = [(0.0, 0.0)] + [(-_LOG_SPAN, _LOG_SPAN)] * (T - 1) + [(None, None)]
+    lams = np.empty(sub_q.shape[:2])
+    for a, q in enumerate(sub_q):
+        with np.errstate(all="ignore"):
+            logc = np.log(stats.prices @ q.T)  # logc[s, t] = log(p^s . q_a^t)
+        w = logc[t, t] - logc[tau, t]
+        if not np.all(np.isfinite(w)):
+            return None
+        res = linprog(np.r_[np.zeros(T), 1.0], A_ub=A, b_ub=-w, bounds=bounds, method="highs")
+        if res.status != 0:
+            return None
+        lams[a] = np.exp(res.x[:T] - res.x[:T].max())
+    return lams
 
 
-def _even_split_allocation(stats, k, lambdas) -> AllocationSolution:
-    Q = stats.quantities
-    sub_q = np.repeat(Q[None, :, :] / k, k, axis=0)
-    lam = np.repeat(lambdas[None, :], k, axis=0)
-    return AllocationSolution(
-        sub_quantities=sub_q,
-        sub_lambdas=lam,
-        residuals=np.zeros_like(Q),
-        totals=Q,
-    )
+def _split_step(stats: MarketStatistics, lams: NDArray[np.float64]):
+    """The split that best fits the multipliers, and its LP objective; None
+    if a row is not finite or the LP fails.
+
+    One LP over the shares x (k, T, n), q_a = x_a Q, and one slack s_t per
+    period: minimise sum_t s_t subject to, per consumer a and t != tau,
+    (lam_{a,t} p^t - lam_{a,tau} p^tau) . q_a^t <= s_t lam_{a,t} p^t . Q^t / k,
+    each row divided by its right-hand scale, and sum_a x = 1 with
+    x >= _FLOOR.  The shares are clipped back onto the floor, which the LP
+    may undershoot by its tolerance, and each (t, i)'s largest share takes
+    up the balance.
+    """
+    k, T = lams.shape
+    P, Q = stats.prices, stats.quantities
+    m = Q.size  # share variables per consumer
+    t, tau = np.nonzero(~np.eye(T, dtype=bool))
+    with np.errstate(all="ignore"):
+        ratio = lams[:, tau] / lams[:, t]
+        coef = (P[t] - ratio[:, :, None] * P[tau]) * (k * Q[t] / np.sum(P * Q, 1)[t, None])
+    if not np.all(np.isfinite(coef)):
+        return None
+    rows = np.arange(k * t.size).reshape(k, -1)
+    A_ub = np.zeros((k * t.size, k * m + T))
+    A_ub[rows[:, :, None], np.arange(k * m).reshape(k, T, -1)[:, t]] = coef
+    A_ub[rows, k * m + t] = -1.0
+    A_eq = np.hstack([np.tile(np.eye(m), k), np.zeros((m, T))])
+    cost = np.r_[np.zeros(k * m), np.ones(T)]
+    bounds = [(_FLOOR, None)] * (k * m) + [(None, None)] * T
+    res = linprog(cost, A_ub, np.zeros(len(A_ub)), A_eq, np.ones(m), bounds, method="highs")
+    if res.status != 0:
+        return None
+    x = np.maximum(res.x[: k * m].reshape((k,) + Q.shape), _FLOOR)
+    top = x.argmax(axis=0)[None]
+    np.put_along_axis(x, top, np.take_along_axis(x, top, axis=0) + 1.0 - x.sum(axis=0), axis=0)
+    return x * Q, float(res.fun)
+
+
+def _splits(stats: MarketStatistics, sub_q: NDArray[np.float64], rounds: int):
+    """A start's split, then the split after each round of multiplier and
+    split steps.  Ends after ``rounds`` rounds, 3 rounds in a row that did
+    not lower the split objective, or a step that returned None."""
+    yield sub_q
+    prev, stagnant = math.inf, 0
+    for _ in range(rounds):
+        lams = _multiplier_step(stats, sub_q)
+        step = None if lams is None else _split_step(stats, lams)
+        if step is None:
+            return
+        sub_q, objective = step
+        yield sub_q
+        stagnant = stagnant + 1 if prev - objective < 1e-10 * max(1.0, abs(prev)) else 0
+        prev = objective
+        if stagnant >= 3:
+            return
+
+
+def _witness_search(stats: MarketStatistics, k: int) -> AllocationSolution | None:
+    """The first split of :func:`_splits` that :func:`_extract_allocation`
+    validates, from the share starts of :func:`_share_starts` in order; or None."""
+    for share in _share_starts(k, stats.goods):
+        start = share[:, None, :] * stats.quantities[None, :, :] * (1.0 - 1e-6)
+        for sub_q in _splits(stats, start, rounds=30):
+            alloc = _extract_allocation(stats, np.log(sub_q))
+            if alloc is not None:
+                return alloc
+    return None
 
 
 def check_collective(
@@ -355,9 +360,11 @@ def check_collective(
     """Decide k-consumer PH-rationalizability.
 
     k = 1 delegates to the exact graph test.  For k >= 2 a FEASIBLE verdict
-    requires both a slack optimum <= tol_accept and a witness allocation that
-    passes direct verification (with every residual below tol_accept times
-    the observed quantity); an optional ``hint`` allocation is tried first.
+    requires a slack optimum <= tol_accept and a witness allocation that
+    passes direct verification; an optional ``hint`` allocation (with every
+    residual below tol_accept times the observed quantity) is tried first.
+    The witness search alternates an LP for the multipliers with an LP for
+    the split, from each share start in turn (:func:`_witness_search`).
 
     Note the asymmetry: for k >= 2 the only rejection is a certified lower
     bound on the slack optimum of at least tol_reject, and as the relaxed
@@ -389,7 +396,13 @@ def check_collective(
             )
     aggregate = check_harp(stats)
     if aggregate.status is Status.FEASIBLE:
-        alloc = _even_split_allocation(stats, k, aggregate.certificate.lambdas)
+        Q = stats.quantities
+        alloc = AllocationSolution(
+            sub_quantities=np.repeat(Q[None, :, :] / k, k, axis=0),
+            sub_lambdas=np.repeat(aggregate.certificate.lambdas[None, :], k, axis=0),
+            residuals=np.zeros_like(Q),
+            totals=Q,
+        )
         if verify_allocation(stats, alloc):
             return CollectiveResult(
                 decision=Decision(
@@ -417,14 +430,7 @@ def check_collective(
 
     alloc = None
     if sol.objective <= tol_accept:
-        alloc = convex.ccp(
-            _search_starts(stats, k),
-            lambda state: _extract_allocation(stats, state[0]),
-            lambda state: _linearise(stats, k, state),
-            rounds=30,
-            max_iter=40_000,
-            step_tol=1e-9,
-        )
+        alloc = _witness_search(stats, k)
     if alloc is not None:
         return CollectiveResult(
             decision=Decision(
@@ -482,6 +488,7 @@ def class_number(
     witness = None
     value = None
     undecided_below = False
+    lower = 1
     for k in range(1, k_max + 1):
         res = check_collective(stats, k, tol_accept=tol_accept, tol_reject=tol_reject)
         per_k[k] = res.decision
@@ -491,12 +498,8 @@ def class_number(
             break
         if res.status is Status.UNDECIDED:
             undecided_below = True
-    lower = 1
-    for k in range(1, k_max + 1):
-        if per_k.get(k) is not None and per_k[k].status is Status.INFEASIBLE:
+        elif not undecided_below:  # still in the INFEASIBLE prefix
             lower = k + 1
-        else:
-            break
     if value is None:
         status = "NOT_FOUND"
     elif undecided_below:

@@ -1,4 +1,4 @@
-"""The convex-concave procedure (Lipp & Boyd, 2016) behind both witness searches.
+"""The convex-concave procedure (Lipp & Boyd, 2016) behind the separability witness search.
 
 Each round replaces the concave side of every constraint by its tangent at
 the current point and minimizes one common slack ``u`` over the resulting

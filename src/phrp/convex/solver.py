@@ -68,7 +68,7 @@ class _Run:
     # -- generic pieces ------------------------------------------------------
 
     def _interior_clip(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        margin = _BOX_MARGIN * np.maximum(1.0, self.hi - self.lo)
+        margin = _BOX_MARGIN * (self.hi - self.lo)  # strictly inside at any range
         return np.clip(x, self.lo + margin, self.hi - margin)
 
     def _in_box(self, x) -> bool:

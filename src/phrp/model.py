@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -154,11 +154,6 @@ class MarketStatistics:
         """
         with np.errstate(over="ignore"):
             return self.prices @ self.quantities.T
-
-    def restrict(self, goods: Sequence[int]) -> "MarketStatistics":
-        """Statistics restricted to the given goods columns (order preserved)."""
-        cols = list(goods)
-        return MarketStatistics(self.prices[:, cols], self.quantities[:, cols])
 
 
 @dataclass(frozen=True)

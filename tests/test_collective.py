@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
     assert_block_rows,
-    assert_program_rows,
     extreme_scales,
     make_aggregate,
     make_cd,
 )
-from phrp import convex
+from phrp import collective, convex
 from phrp.collective import (
     AllocationSolution,
-    _linearise,
     _share_starts,
+    _split_step,
+    _witness_search,
     build_collective_program,
     check_collective,
     class_number,
@@ -88,64 +89,6 @@ def _loop_program_rows(stats, k):
             gamma = k * T * (n + 1) + t * n + i
             rows["balance"].append((0.0, {}, lse, (Q[t, i], {gamma: -1.0}, ())))
     return rows
-
-
-def _loop_linearisation(stats, k, qtil, lam):
-    """The collective repair rows built one at a time, and the violation at (qtil, lam)."""
-    T, n = stats.periods, stats.goods
-    P, Q = stats.prices, stats.quantities
-    e = np.exp(qtil)
-    u = k * T * (n + 1)
-
-    def q(a, t, i):
-        return k * T + (a * T + t) * n + i
-
-    rows, violation = [], 0.0
-    for a in range(k):
-        logc = np.log(np.einsum("si,ti->st", P, e[a]))
-        weighted = np.einsum("si,ti->ts", P, e[a])
-        for t in range(T):
-            for tau in range(T):
-                if t == tau:
-                    continue
-                g = lam[a, t] - lam[a, tau] + logc[t, t] - logc[tau, t] + 1e-7
-                violation = max(violation, g)
-                w = P[tau, :] * e[a, t, :] / weighted[t, tau]
-                const = -float(np.log(weighted[t, tau])) + float(w @ qtil[a, t, :]) + 1e-7
-                coefs = {a * T + t: 1.0, a * T + tau: -1.0, u: -1.0}
-                coefs.update({q(a, t, i): -w[i] for i in range(n)})
-                rows.append((const, coefs, tuple((P[t, i], q(a, t, i)) for i in range(n))))
-    violation = max(violation, float((Q - e.sum(axis=0)).max()))
-    for t in range(T):
-        for i in range(n):
-            const = float(Q[t, i])
-            for a in range(k):
-                const += float(e[a, t, i]) * (float(qtil[a, t, i]) - 1.0)
-            coefs = {q(a, t, i): -e[a, t, i] for a in range(k)}
-            rows.append((const, {**coefs, u: -1.0}, ()))
-            rows.append((-np.log(Q[t, i]), {}, tuple((1.0, q(a, t, i)) for a in range(k))))
-    return rows, violation
-
-
-class TestLinearise:
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_loop_reference(self, k):
-        stats, _ = make_aggregate(4, periods=4, goods=3)
-        rng = np.random.default_rng(k)
-        shape = (k,) + stats.quantities.shape
-        qtil = np.log(stats.quantities / k) + 0.3 * rng.standard_normal(shape)
-        lam = rng.standard_normal((k, stats.periods))
-        program, unpack = _linearise(stats, k, (qtil, lam))
-        rows, violation = _loop_linearisation(stats, k, qtil, lam)
-        assert program.name == f"collective-repair-k{k}"
-        assert_program_rows(program, rows)
-        start = np.clip(np.concatenate([lam.ravel(), qtil.ravel()]), -29.0, 29.0)
-        np.testing.assert_array_equal(program.start_point()[:-1], start)
-        assert program.start_point()[-1] == max(violation, 0.0) * 1.05 + 1e-6
-        (new_q, new_lam), step = unpack(np.arange(program.n_variables, dtype=float))
-        np.testing.assert_array_equal(new_lam.ravel(), np.arange(lam.size))
-        np.testing.assert_array_equal(new_q.ravel(), lam.size + np.arange(qtil.size))
-        assert step == np.max(np.abs(new_q - qtil))
 
 
 class TestAllocationSolution:
@@ -245,39 +188,71 @@ class TestCheckCollective:
         stats = MarketStatistics(prices=agg.prices / factor, quantities=agg.quantities * factor)
         assert check_collective(stats, 2).status is not Status.INFEASIBLE
 
+    def test_units_times_1e6_are_feasible(self):
+        # the same cross expenditures as the unscaled aggregate, whose truth is FEASIBLE
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        stats = MarketStatistics(prices=agg.prices / 1e6, quantities=agg.quantities * 1e6)
+        res = check_collective(stats, 2)
+        assert res.status is Status.FEASIBLE
+        assert verify_allocation(stats, res.allocation)
+
     def test_starts_are_the_share_patterns(self, monkeypatch):
         agg, _ = make_aggregate(9012, periods=6, goods=2)
         starts = []
-        ccp = convex.ccp
+        splits = collective._splits
 
-        def recorded_ccp(starts_, *args, **kwargs):
-            starts.extend(starts_)
-            return ccp(starts_, *args, **kwargs)
+        def recorded(stats, sub_q, rounds):
+            starts.append(sub_q)
+            return splits(stats, sub_q, rounds)
 
-        monkeypatch.setattr(convex, "ccp", recorded_ccp)
-        assert check_collective(agg, 2).status is Status.FEASIBLE
+        monkeypatch.setattr(collective, "_splits", recorded)
+        monkeypatch.setattr(collective, "_extract_allocation", lambda stats, qtil: None)
+        assert _witness_search(agg, 2) is None
         shares = _share_starts(2, agg.goods)
         assert len(starts) == len(shares)
-        for (q, lam), share in zip(starts, shares):
-            sub_q = share[:, None, :] * agg.quantities[None, :, :] * (1.0 - 1e-6)
-            np.testing.assert_array_equal(q, np.log(sub_q))
-            assert lam.shape == (2, agg.periods)
+        for q, share in zip(starts, shares):
+            expected = share[:, None, :] * agg.quantities[None, :, :] * (1.0 - 1e-6)
+            np.testing.assert_array_equal(q, expected)
 
-    def test_share_start_wins_in_three_repair_solves(self, monkeypatch):
-        # from the main program's point this aggregate needs 20 repair solves
+    def test_share_start_wins_in_three_lps(self, monkeypatch):
+        # two multiplier LPs and one split LP from the first share start
         agg, _ = make_aggregate(9012, periods=6, goods=2)
-        names = []
-        solve = convex.solve
+        names, lps, starts = [], [], []
+        solve, linprog, splits = convex.solve, collective.linprog, collective._splits
 
         def counted(program, *args, **kwargs):
             names.append(program.name)
             return solve(program, *args, **kwargs)
 
+        def counted_lp(*args, **kwargs):
+            lps.append(1)
+            return linprog(*args, **kwargs)
+
+        def recorded(stats, sub_q, rounds):
+            starts.append(sub_q)
+            return splits(stats, sub_q, rounds)
+
         monkeypatch.setattr(convex, "solve", counted)
+        monkeypatch.setattr(collective, "linprog", counted_lp)
+        monkeypatch.setattr(collective, "_splits", recorded)
         res = check_collective(agg, 2)
         assert res.status is Status.FEASIBLE
         assert verify_allocation(agg, res.allocation)
-        assert sum(name.startswith("collective-repair-") for name in names) == 3
+        assert names == ["collective-k2-T6-n2"]
+        assert len(starts) == 1 and len(lps) <= 3
+
+    def test_witness_is_deterministic(self):
+        agg, _ = make_aggregate(9031, periods=6, goods=3)
+        first, second = (check_collective(agg, 2).allocation for _ in range(2))
+        assert first.sub_quantities.tobytes() == second.sub_quantities.tobytes()
+        assert first.sub_lambdas.tobytes() == second.sub_lambdas.tobytes()
+
+    def test_search_skips_non_finite_rows(self):
+        # multiplier ratios near 1e400 overflow the split rows: every start
+        # is skipped, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _witness_search(extreme_scales(), 2) is None
 
     @pytest.mark.parametrize(
         "bound, status, detail",
@@ -312,6 +287,21 @@ class TestCheckCollective:
     def test_tol_validation(self, feasible2):
         with pytest.raises(ValueError):
             check_collective(feasible2, 1, tol_accept=1.0, tol_reject=0.5)
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_balances_and_keeps_the_floor(self, seed):
+        agg, _ = make_aggregate(9031, periods=6, goods=3)
+        rng = np.random.default_rng(seed)
+        lams = np.exp(rng.standard_normal((2, agg.periods)))
+        sub_q, objective = _split_step(agg, lams)
+        Q = agg.quantities
+        assert sub_q.shape == (2,) + Q.shape
+        assert np.max(np.abs(sub_q.sum(axis=0) - Q) / Q) <= 1e-9
+        assert np.all(sub_q >= 1e-6 * Q)
+        assert np.any(sub_q == 1e-6 * Q)  # the LP puts some shares on the floor
+        assert np.isfinite(objective)
 
 
 class TestMonotonicity:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_aggregate, make_nested, perturbed_nested, reference_values
-from phrp import collective, convex, separability
+from phrp import convex, separability
 from phrp.collective import build_collective_program
 from phrp.convex import solver
 from phrp.convex.packed import PackedProgram
@@ -180,19 +180,16 @@ class TestGradientVsFiniteDifferences:
 
 
 def _programs():
-    """One program of each kind the package builds: both main programs and both repairs."""
+    """One program of each kind the package builds: both main programs and the repair."""
     inst = SeparabilityInstance.from_partition(perturbed_nested(5030, 5, sigma=0.3, noise_seed=35))
     rng = np.random.default_rng(7)
     lam_log = np.log(rng.dirichlet(np.ones(inst.periods)))
     sep_repair, _ = separability._linearise(inst, (lam_log, rng.standard_normal(inst.periods)))
     agg, _ = make_aggregate(4, periods=4, goods=3)
-    qtil = np.log(agg.quantities / 2) + 0.3 * rng.standard_normal((2,) + agg.quantities.shape)
-    coll_repair, _ = collective._linearise(agg, 2, (qtil, rng.standard_normal((2, agg.periods))))
     return {
         "separability": build_separability_program(inst),
         "collective": build_collective_program(agg, k=2),
         "separability-repair": sep_repair,
-        "collective-repair": coll_repair,
     }
 
 
@@ -325,6 +322,15 @@ class TestSolve:
         assert res.stalled is None
         assert res.lower_bound is not None
         assert res.lower_bound <= res.objective
+
+    def test_start_strictly_inside_tiny_ranges(self):
+        # quantities times 1e-12 put the slack caps below twice the box
+        # margin's absolute floor of the past, which pushed the start outside
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        stats = MarketStatistics(prices=agg.prices * 1e12, quantities=agg.quantities * 1e-12)
+        run = solver._Run(build_collective_program(stats, 2), eps_feas=1e-8, max_iter=1)
+        x = run._interior_clip(run.program.start_point())
+        assert np.all(x > run.lo) and np.all(x < run.hi)
 
     def test_eps_validation(self):
         prog = convex.LogConvexProgram()
