@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# rows of ``weights`` relaxed at once: a (BLOCK_ROWS, T) scratch array stays
-# small while each block still amortises numpy's per-call overhead
+# target rows relaxed at once: a (BLOCK_ROWS, T) scratch array stays small
+# while each block still amortises numpy's per-call overhead
 BLOCK_ROWS = 128
 
 
@@ -21,10 +21,15 @@ def bf_rounds(weights, dist, parent, max_rounds):
     every node against the previous round's distances, so the result is
     scan-order independent.  Ties keep the lowest tau.
 
-    A round visits ``BLOCK_ROWS`` rows of ``weights`` at a time and merges
-    each block's column minima into a running best with a strict ``<``, so
-    the lowest tau also wins ties across blocks.  The round only adds and
-    compares, so it gives the same bits as relaxing the whole matrix at once.
+    The rounds read the incoming-edge layout ``into = weights.T``, whose row
+    t holds the weights of the edges entering t.  That view is used as it is
+    when it is C-contiguous, which it is for the F-ordered ``weights`` of
+    :func:`phrp.harp.build_cross_graph`; any other layout is copied into it
+    once per call.  A round visits ``BLOCK_ROWS`` target rows at a time and
+    takes each row's minimum over tau with ``argmin(axis=1)``, which keeps
+    the first (lowest) tau on ties.  Blocks cover disjoint targets, so no
+    merge across blocks is needed.  The round only adds and compares, so it
+    gives the same bits as relaxing the whole matrix at once.
 
     Args:
         weights: (T, T) float64 with 0 or +inf on the diagonal, and no NaN
@@ -37,27 +42,26 @@ def bf_rounds(weights, dist, parent, max_rounds):
         (dist, parent, rounds_run, converged): new arrays; ``converged`` is
         True when the last executed round produced no improvement.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    into = np.asarray(weights, dtype=np.float64).T
+    if not into.flags.c_contiguous:
+        into = np.ascontiguousarray(into)
     dist = np.array(dist, dtype=np.float64, copy=True)
     parent = np.array(parent, dtype=np.int64, copy=True)
     T = dist.size
-    columns = np.arange(T)
     through = np.empty((min(BLOCK_ROWS, T), T))
+    rows = np.arange(through.shape[0])
     best = np.empty(T)
     arg = np.empty(T, dtype=np.int64)
     rounds_run = 0
     converged = max_rounds == 0
     for _ in range(max_rounds):
-        best.fill(np.inf)
         for lo in range(0, T, BLOCK_ROWS):
-            rows = weights[lo : lo + BLOCK_ROWS]
-            block = through[: rows.shape[0]]
-            np.add(dist[lo : lo + BLOCK_ROWS, None], rows, out=block)
-            block_arg = block.argmin(axis=0)
-            block_min = block[block_arg, columns]
-            better = block_min < best
-            np.copyto(best, block_min, where=better)
-            np.copyto(arg, block_arg + lo, where=better)
+            targets = into[lo : lo + BLOCK_ROWS]
+            block = through[: targets.shape[0]]
+            np.add(targets, dist[None, :], out=block)
+            block_arg = arg[lo : lo + BLOCK_ROWS]
+            block.argmin(axis=1, out=block_arg)
+            best[lo : lo + BLOCK_ROWS] = block[rows[: block.shape[0]], block_arg]
         improved = best < dist
         rounds_run += 1
         if not improved.any():

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
 
 from . import convex
+from .convex import linprog
 from .harp import check_harp, verify_certificate
 from .model import Decision, MarketStatistics, Status
 
@@ -363,8 +363,10 @@ def check_collective(
     requires a slack optimum <= tol_accept and a witness allocation that
     passes direct verification; an optional ``hint`` allocation (with every
     residual below tol_accept times the observed quantity) is tried first.
-    The witness search alternates an LP for the multipliers with an LP for
-    the split, from each share start in turn (:func:`_witness_search`).
+    A slack optimum above tol_accept gives UNDECIDED, with that optimum,
+    and no witness search runs.  The witness search alternates an LP for
+    the multipliers with an LP for the split, from each share start in turn
+    (:func:`_witness_search`).
 
     Note the asymmetry: for k >= 2 the only rejection is a certified lower
     bound on the slack optimum of at least tol_reject, and as the relaxed
@@ -428,9 +430,19 @@ def check_collective(
             k=k,
         )
 
-    alloc = None
-    if sol.objective <= tol_accept:
-        alloc = _witness_search(stats, k)
+    if sol.objective > tol_accept:
+        return CollectiveResult(
+            decision=Decision(
+                Status.UNDECIDED,
+                optimum=sol.objective,
+                detail=(
+                    f"slack optimum {sol.objective:.3e} above tol_accept {tol_accept:.3e}; "
+                    "no witness search ran"
+                ),
+            ),
+            k=k,
+        )
+    alloc = _witness_search(stats, k)
     if alloc is not None:
         return CollectiveResult(
             decision=Decision(

@@ -35,6 +35,8 @@ class CrossGraph:
     Attributes:
         weights: (T, T) matrix; ``weights[tau, t]`` is the edge weight
             ``log(p^tau . q^t) - log(p^t . q^t)``.  The diagonal is zero.
+            It is F-ordered: ``weights.T`` is the C-contiguous incoming-edge
+            array, whose row t holds the weights of the edges entering t.
         cross_expenditures: (T, T) matrix ``C[a, b] = p^a . q^b``.
     """
 
@@ -145,16 +147,31 @@ class HarpResult:
 
 
 def build_cross_graph(stats: MarketStatistics) -> CrossGraph:
-    """Cross-expenditure log-ratio graph of the difference-constraint system."""
+    """Cross-expenditure log-ratio graph of the difference-constraint system.
+
+    The logs are written tile by tile into a C-contiguous incoming-edge
+    array ``into[t, tau] = log(p^tau . q^t)``, one block of target rows at a
+    time, and each row t is reduced by ``log(p^t . q^t)`` while its block
+    is hot.  ``weights`` is the F-ordered view ``into.T``, so
+    ``weights[tau, t]`` keeps its meaning while the relaxation rounds read
+    ``into`` row by row without a copy.
+    """
     cross = stats.cross_expenditures()
+    T = cross.shape[0]
+    B = _kernels.BLOCK_ROWS
+    into = np.empty((T, T))
     # over- or underflowed entries give infinite or NaN weights, which callers reject
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.log(cross)
-        weights -= np.diag(weights).copy()[None, :]  # np.diag may return a view
-    np.fill_diagonal(weights, 0.0)
-    weights.setflags(write=False)
+        own = np.log(np.diagonal(cross))
+        for j in range(0, T, B):
+            rows = into[j : j + B]
+            for i in range(0, T, B):
+                np.log(cross[i : i + B, j : j + B].T, out=rows[:, i : i + B])
+            rows -= own[j : j + B, None]
+    np.fill_diagonal(into, 0.0)
+    into.setflags(write=False)
     cross.setflags(write=False)
-    return CrossGraph(weights=weights, cross_expenditures=cross)
+    return CrossGraph(weights=into.T, cross_expenditures=cross)
 
 
 def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -210,7 +227,11 @@ def shortest_potentials(
     node that improves in round k has a parent that improved in round k - 1,
     so an improvement in round T + 1 implies a parent cycle: one of the two
     is always returned.
+
+    ``weights`` is made F-ordered once, so the rounds read its incoming-edge
+    rows in place; the graphs of :func:`build_cross_graph` already are.
     """
+    weights = np.asfortranarray(weights)
     T = weights.shape[0]
     dist = np.zeros(T)
     parent = np.full(T, -1, dtype=np.int64)

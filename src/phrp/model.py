@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,6 +249,13 @@ def load_statistics(path: str | Path) -> MarketStatistics:
     ``p1,...,pn,q1,...,qn`` and one data row per period.  Every value must
     parse as a strictly positive decimal.
 
+    The header is read with :mod:`csv`.  The body is first parsed by
+    numpy's C parser (``np.loadtxt``), which rounds decimals exactly as
+    ``float`` does; a body it rejects, or whose array has the wrong width or
+    a value that is not finite and strictly positive, is parsed again cell
+    by cell, so every error names its row and column.  Blank bodies go
+    straight to the cell-by-cell parser.
+
     Raises:
         MissingFileError: the file does not exist.
         MalformedRowError: bad header, wrong cell count, or unparseable value.
@@ -257,9 +265,8 @@ def load_statistics(path: str | Path) -> MarketStatistics:
     if not path.is_file():
         raise MissingFileError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise MalformedRowError("empty file: missing header row", row=0) from None
         header = [h.strip() for h in header]
@@ -272,40 +279,66 @@ def load_statistics(path: str | Path) -> MarketStatistics:
             raise MalformedRowError(
                 f"header mismatch: expected {','.join(_expected_header(n))}", row=0
             )
-        rows: list[list[float]] = []
-        for r, cells in enumerate(reader, start=1):
-            if not cells or all(not c.strip() for c in cells):
-                continue  # tolerate trailing blank lines
-            if len(cells) != 2 * n:
+        body = fh.read()
+    data = _parse_fast(body, n)
+    if data is None:
+        data = _parse_cells(body, n)
+    return MarketStatistics(prices=data[:, :n], quantities=data[:, n:])
+
+
+def _parse_fast(body: str, n: int) -> NDArray[np.float64] | None:
+    """The body as a (T, 2n) array of finite positive values, or None."""
+    if not body.strip():  # np.loadtxt warns on a body without data
+        return None
+    # numpy strips the separators \x1c-\x1f around a number as whitespace,
+    # float() rejects them; no other code point next to a number is read
+    # differently by the two
+    if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # a cell or row numpy cannot read: the loop names it
+        return None
+    if data.shape[1] != 2 * n or not np.all(np.isfinite(data)) or not np.all(data > 0.0):
+        return None
+    return data
+
+
+def _parse_cells(body: str, n: int) -> NDArray[np.float64]:
+    """The body parsed cell by cell; raises on the first bad row or cell."""
+    rows: list[list[float]] = []
+    for r, cells in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+        if not cells or all(not c.strip() for c in cells):
+            continue  # tolerate trailing blank lines
+        if len(cells) != 2 * n:
+            raise MalformedRowError(
+                f"row {r}: expected {2 * n} values, got {len(cells)}",
+                row=r,
+                column=min(len(cells) + 1, 2 * n),
+            )
+        parsed: list[float] = []
+        for c, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise MalformedRowError(
-                    f"row {r}: expected {2 * n} values, got {len(cells)}",
-                    row=r,
-                    column=min(len(cells) + 1, 2 * n),
+                    f"row {r}, column {c}: cannot parse {cell!r}", row=r, column=c
+                ) from None
+            if not math.isfinite(value):
+                raise MalformedRowError(
+                    f"row {r}, column {c}: non-finite value {cell!r}", row=r, column=c
                 )
-            parsed: list[float] = []
-            for c, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise MalformedRowError(
-                        f"row {r}, column {c}: cannot parse {cell!r}", row=r, column=c
-                    ) from None
-                if not math.isfinite(value):
-                    raise MalformedRowError(
-                        f"row {r}, column {c}: non-finite value {cell!r}", row=r, column=c
-                    )
-                if value <= 0.0:
-                    raise NonpositiveValueError(
-                        f"row {r}, column {c}: value {value} is not strictly positive",
-                        row=r,
-                        column=c,
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            if value <= 0.0:
+                raise NonpositiveValueError(
+                    f"row {r}, column {c}: value {value} is not strictly positive",
+                    row=r,
+                    column=c,
+                )
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise MalformedRowError("file contains a header but no data rows", row=1)
-    data = np.asarray(rows, dtype=np.float64)
-    return MarketStatistics(prices=data[:, :n], quantities=data[:, n:])
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_statistics(stats: MarketStatistics, path: str | Path) -> None:

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
 
 from . import convex
+from .convex import linprog
 from .harp import PiecewiseLinearUtility, check_harp, shortest_potentials
 from .model import Decision, PartitionedStatistics, Status
 

@@ -188,6 +188,22 @@ class TestCheckCollective:
         stats = MarketStatistics(prices=agg.prices / factor, quantities=agg.quantities * factor)
         assert check_collective(stats, 2).status is not Status.INFEASIBLE
 
+    def test_units_times_1e14_say_no_search_ran(self, monkeypatch):
+        # the quantity logs need about 32, outside the box, so the main
+        # objective stays far above tol_accept and the search is skipped
+        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        stats = MarketStatistics(prices=agg.prices / 1e14, quantities=agg.quantities * 1e14)
+        searched = []
+        monkeypatch.setattr(collective, "_witness_search", lambda *args: searched.append(1))
+        res = check_collective(stats, 2)
+        assert res.status is Status.UNDECIDED
+        assert res.decision.optimum > 1e-6
+        assert res.decision.detail == (
+            f"slack optimum {res.decision.optimum:.3e} above tol_accept 1.000e-06; "
+            "no witness search ran"
+        )
+        assert not searched
+
     def test_units_times_1e6_are_feasible(self):
         # the same cross expenditures as the unscaled aggregate, whose truth is FEASIBLE
         agg, _ = make_aggregate(9012, periods=6, goods=2)
@@ -257,7 +273,11 @@ class TestCheckCollective:
     @pytest.mark.parametrize(
         "bound, status, detail",
         [
-            (1e-5, Status.UNDECIDED, "no verifiable split found within the search budget"),
+            (
+                1e-5,
+                Status.UNDECIDED,
+                "slack optimum 2.000e-05 above tol_accept 1.000e-06; no witness search ran",
+            ),
             (1e-4, Status.INFEASIBLE, "slack optimum certified >= 1.000e-04"),
         ],
     )

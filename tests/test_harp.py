@@ -57,6 +57,22 @@ class TestCrossGraph:
         assert graph.weights.shape == (1, 1)
         assert graph.weights[0, 0] == 0.0
 
+    @pytest.mark.parametrize("T", [1, 2, 127, 128, 129, 600])
+    def test_incoming_edge_layout(self, T):
+        # tiles straddle BLOCK_ROWS = 128; prices and quantities spanning
+        # 1e-3..1e3 make every bit of the logs count
+        rng = np.random.default_rng(T)
+        stats = MarketStatistics(
+            prices=np.exp(rng.uniform(-7, 7, (T, 4))),
+            quantities=np.exp(rng.uniform(-7, 7, (T, 4))),
+        )
+        graph = build_cross_graph(stats)
+        logs = np.log(stats.cross_expenditures())
+        want = logs - np.diag(logs)[None, :]
+        np.fill_diagonal(want, 0.0)
+        assert graph.weights.T.flags.c_contiguous
+        assert graph.weights.tobytes(order="C") == want.tobytes()
+
 
 class TestCheckHarp:
     def test_feasible_example(self, feasible2):
@@ -267,6 +283,18 @@ class TestShortestPotentials:
         _, cycle = _labels_or_cycle(graph.weights)
         if cycle is not None:
             assert _cycle_weight(graph.weights, cycle) < 0.0
+
+    @pytest.mark.parametrize("diagonal", [0.0, np.inf])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_c_and_f_order_agree(self, seed, diagonal):
+        weights = _dense_graph(seed, diagonal)
+        labels_c, cycle_c = shortest_potentials(np.ascontiguousarray(weights))
+        labels_f, cycle_f = shortest_potentials(np.asfortranarray(weights))
+        assert cycle_c == cycle_f
+        if cycle_c is None:
+            assert labels_c.tobytes() == labels_f.tobytes()
+        else:
+            assert labels_c is None and labels_f is None
 
     def test_single_node(self):
         labels, cycle = shortest_potentials(np.zeros((1, 1)))

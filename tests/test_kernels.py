@@ -84,6 +84,22 @@ class TestBfRounds:
         np.testing.assert_array_equal(with_inf[1], with_zero[1])
         assert with_inf[2:] == with_zero[2:]
 
+    @pytest.mark.parametrize("T", [1, 2, 128, 300])
+    @pytest.mark.parametrize("diagonal", DIAGONALS)
+    def test_c_and_f_order_agree(self, T, diagonal):
+        # F-ordered weights are relaxed in place, C-ordered ones through a copy
+        rng = np.random.default_rng(T)
+        w = rng.normal(0.0, 1.0, (T, T))
+        np.fill_diagonal(w, diagonal)
+        dist0 = rng.normal(0.0, 1.0, T)
+        parent0 = np.full(T, -1, dtype=np.int64)
+        for max_rounds in (1, 4):
+            c_order = _kernels.bf_rounds(np.ascontiguousarray(w), dist0, parent0, max_rounds)
+            f_order = _kernels.bf_rounds(np.asfortranarray(w), dist0, parent0, max_rounds)
+            assert c_order[0].tobytes() == f_order[0].tobytes()
+            np.testing.assert_array_equal(c_order[1], f_order[1])
+            assert c_order[2:] == f_order[2:]
+
     @pytest.mark.parametrize("T", [1, 127, 128, 129, 389])
     @pytest.mark.parametrize("diagonal", DIAGONALS)
     def test_blocked_rounds_match_whole_matrix(self, T, diagonal):

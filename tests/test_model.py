@@ -18,6 +18,9 @@ from phrp.model import (
     MissingFileError,
     NonpositiveValueError,
     StatisticsError,
+    _expected_header,
+    _parse_cells,
+    _parse_fast,
     load_statistics,
     partition,
     save_statistics,
@@ -72,6 +75,70 @@ class TestLoadStatistics:
         path.write_text("p1,q1\n")
         with pytest.raises(MalformedRowError):
             load_statistics(path)
+
+
+def _spelling(rng, value):
+    """One decimal spelling of value: 1-17 significant digits, fixed or
+    exponent form, maybe a leading '+', maybe spaces around it."""
+    digits = int(rng.integers(1, 18))
+    form = ("g", "e", "E")[int(rng.integers(3))]
+    cell = f"{value:.{digits}{form}}"
+    if rng.random() < 0.2:
+        cell = "+" + cell
+    return " " * int(rng.integers(2)) + cell + " " * int(rng.integers(2))
+
+
+class TestFastIngest:
+    """numpy's C parser reads the body first; the cell-by-cell loop is the reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fast_path_matches_loop(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        T, n = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        values = np.exp(rng.uniform(-690, 690, (T, 2 * n)))
+        newline = ("\n", "\r\n")[seed % 2]
+        body = newline.join(",".join(_spelling(rng, v) for v in row) for row in values)
+        body += newline * int(rng.integers(1, 4))  # trailing blank lines
+        path = tmp_path / "data.csv"
+        path.write_bytes((",".join(_expected_header(n)) + newline + body).encode())
+        fast = _parse_fast(body, n)
+        assert fast is not None
+        loop = _parse_cells(body, n)
+        assert fast.tobytes() == loop.tobytes() and fast.shape == loop.shape == (T, 2 * n)
+        stats = load_statistics(path)
+        assert stats.prices.tobytes() == loop[:, :n].tobytes()
+        assert stats.quantities.tobytes() == loop[:, n:].tobytes()
+
+    @pytest.mark.parametrize("cell", ['"1.5"', "1_000", "\u0661\u0662"])
+    def test_float_only_spellings_take_the_loop(self, tmp_path, cell):
+        body = f"2,{cell}\n"
+        assert _parse_fast(body, 1) is None
+        path = tmp_path / "data.csv"
+        path.write_text("p1,q1\n" + body, encoding="utf-8")
+        stats = load_statistics(path)
+        assert stats.quantities[0, 0] == float(cell.strip('"'))
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separators_are_rejected(self, tmp_path, sep):
+        # numpy would strip these as whitespace; float() does not
+        path = tmp_path / "data.csv"
+        path.write_text(f"p1,q1\n1,1\n2,3{sep}\n", encoding="utf-8")
+        with pytest.raises(MalformedRowError) as info:
+            load_statistics(path)
+        assert (info.value.row, info.value.column) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "cell, error",
+        [("0", NonpositiveValueError), ("nan", MalformedRowError), ("x", MalformedRowError)],
+    )
+    def test_errors_keep_row_and_column(self, tmp_path, cell, error):
+        rows = [["1.5", "2", "0.5", "3"] for _ in range(50)]
+        rows[36][2] = cell
+        path = tmp_path / "data.csv"
+        path.write_text("p1,p2,q1,q2\n" + "\n".join(map(",".join, rows)) + "\n")
+        with pytest.raises(error) as info:
+            load_statistics(path)
+        assert (info.value.row, info.value.column) == (37, 3)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
