@@ -58,6 +58,11 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# for k >= 2 the witness search uses neither tolerance; the CLI passes no hint
+_COL_TOL_ACCEPT = "for k >= 2 bounds only a hint's residuals; must be below --tol-reject"
+_COL_TOL_REJECT = "after a witness search miss, INFEASIBLE needs a slack bound certified >= this"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phrp", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,14 +87,14 @@ def _build_parser() -> _Parser:
     p_col = sub.add_parser("collective", help="k-consumer rationalizability")
     add_io(p_col)
     p_col.add_argument("--k", type=int, required=True)
-    p_col.add_argument("--tol-accept", type=float, default=1e-6)
-    p_col.add_argument("--tol-reject", type=float, default=1e-4)
+    p_col.add_argument("--tol-accept", type=float, default=1e-6, help=_COL_TOL_ACCEPT)
+    p_col.add_argument("--tol-reject", type=float, default=1e-4, help=_COL_TOL_REJECT)
 
     p_cn = sub.add_parser("class-number", help="minimal accepted consumer count")
     add_io(p_cn)
     p_cn.add_argument("--k-max", type=int, default=None)
-    p_cn.add_argument("--tol-accept", type=float, default=1e-6)
-    p_cn.add_argument("--tol-reject", type=float, default=1e-4)
+    p_cn.add_argument("--tol-accept", type=float, default=1e-6, help=_COL_TOL_ACCEPT)
+    p_cn.add_argument("--tol-reject", type=float, default=1e-4, help=_COL_TOL_REJECT)
 
     p_gen = sub.add_parser("gen", help="write synthetic ground-truth data")
     p_gen.add_argument(

@@ -3,16 +3,17 @@
 The observed demand is k-consumer rationalizable when it splits into k
 strictly positive per-consumer demands, each PH-rationalizable on its own,
 that sum componentwise to the data.  For k = 1 this is the exact
-graph-based test.  For k >= 2 the log-domain slack program over
-per-consumer multipliers and quantity logs is solved first: a certified
-bound of at least ``tol_reject`` on its optimum rejects, and its optimum
-gates a witness search.  Under PH each consumer's inequalities
-lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t are linear in the split
-once the multipliers are fixed, and fix the multipliers by a min-max-cycle
-LP once the split is fixed; the search alternates these two exact LP
-steps from fixed share patterns.  Every split it reaches is rescaled onto
-exact balance and validated per consumer with the exact test, so a FEASIBLE
-verdict ships a checkable split whatever the LPs returned.
+graph-based test.  For k >= 2 a witness search runs first.  Under PH each
+consumer's inequalities lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t
+are linear in the split once the multipliers are fixed, and fix the
+multipliers by a min-max-cycle LP once the split is fixed; the search
+alternates these two exact LP steps from fixed share patterns.  Every split
+it reaches is rescaled onto exact balance and validated per consumer with
+the exact test, so a FEASIBLE verdict ships a checkable split whatever the
+LPs returned.  Only when the search misses is the log-domain slack program
+over per-consumer multipliers and quantity logs solved: a certified bound
+of at least ``tol_reject`` on its optimum rejects, and anything else is
+UNDECIDED.
 
 The slack program's split variables live in log space and the split LP
 leaves every consumer a share of every good, so splits where a consumer
@@ -359,19 +360,21 @@ def check_collective(
 ) -> CollectiveResult:
     """Decide k-consumer PH-rationalizability.
 
-    k = 1 delegates to the exact graph test.  For k >= 2 a FEASIBLE verdict
-    requires a slack optimum <= tol_accept and a witness allocation that
-    passes direct verification; an optional ``hint`` allocation (with every
-    residual below tol_accept times the observed quantity) is tried first.
-    A slack optimum above tol_accept gives UNDECIDED, with that optimum,
-    and no witness search runs.  The witness search alternates an LP for
-    the multipliers with an LP for the split, from each share start in turn
-    (:func:`_witness_search`).
+    k = 1 delegates to the exact graph test.  For k >= 2 an optional
+    ``hint`` allocation that passes direct verification, with every residual
+    below tol_accept times the observed quantity, is accepted first; then
+    the even split of a single-consumer rationalizable aggregate; then the
+    witness search (:func:`_witness_search`), which alternates an LP for
+    the multipliers with an LP for the split from each share start in turn.
+    A verified split from the search is FEASIBLE with no optimum, since no
+    program was solved.
 
-    Note the asymmetry: for k >= 2 the only rejection is a certified lower
-    bound on the slack optimum of at least tol_reject, and as the relaxed
-    program is satisfiable for any data, failures to find a witness are
-    reported UNDECIDED rather than INFEASIBLE.
+    Only after the search misses is the slack program solved, and only to
+    reject: a certified lower bound on its optimum of at least tol_reject
+    gives INFEASIBLE, a stalled phase I gives UNDECIDED with the solver's
+    reason, and any other outcome gives UNDECIDED with the optimum.  The
+    relaxed program is satisfiable for any data, so a failure to find a
+    witness is never INFEASIBLE by itself.
     """
     if not 0.0 < tol_accept < tol_reject:
         raise ValueError("need 0 < tol_accept < tol_reject")
@@ -416,8 +419,15 @@ def check_collective(
                 allocation=alloc,
             )
 
-    prog = build_collective_program(stats, k)
-    sol = convex.solve(prog)
+    alloc = _witness_search(stats, k)
+    if alloc is not None:  # no program was solved, so there is no optimum
+        return CollectiveResult(
+            decision=Decision(Status.FEASIBLE, detail="verified witness found"),
+            k=k,
+            allocation=alloc,
+        )
+
+    sol = convex.solve(build_collective_program(stats, k))
     if sol.stalled is not None:  # phase I never finished: no slack optimum to judge
         return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=sol.stalled), k=k)
     if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
@@ -428,28 +438,6 @@ def check_collective(
                 detail=f"slack optimum certified >= {sol.lower_bound:.3e}",
             ),
             k=k,
-        )
-
-    if sol.objective > tol_accept:
-        return CollectiveResult(
-            decision=Decision(
-                Status.UNDECIDED,
-                optimum=sol.objective,
-                detail=(
-                    f"slack optimum {sol.objective:.3e} above tol_accept {tol_accept:.3e}; "
-                    "no witness search ran"
-                ),
-            ),
-            k=k,
-        )
-    alloc = _witness_search(stats, k)
-    if alloc is not None:
-        return CollectiveResult(
-            decision=Decision(
-                Status.FEASIBLE, optimum=sol.objective, detail="verified witness found"
-            ),
-            k=k,
-            allocation=alloc,
         )
     return CollectiveResult(
         decision=Decision(

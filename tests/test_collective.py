@@ -164,7 +164,7 @@ class TestCheckCollective:
         assert check_harp(agg).status is Status.INFEASIBLE
         res = check_collective(agg, 2)
         assert res.status is Status.FEASIBLE
-        assert res.decision.optimum <= 1e-6
+        assert res.decision.optimum is None  # the search won, so no program was solved
         alloc = res.allocation
         assert verify_allocation(agg, alloc)
         assert np.all(alloc.residuals <= 1e-6 * agg.quantities)
@@ -178,39 +178,28 @@ class TestCheckCollective:
         assert res.decision.detail.startswith("phase I stalled")
         assert res.decision.optimum is None
 
-    @pytest.mark.parametrize("factor", [1e14, 1e-12])
+    @pytest.mark.parametrize("factor", [1e6, 1e14, 1e-12])
     def test_quantity_units_are_no_rejection(self, factor):
         # quantities times factor and prices divided by it leave every cross
-        # expenditure, and so the truth (FEASIBLE), as it was; at 1e14 the
-        # quantity logs start outside the box unless clipped, and the bound
-        # of an uncentred barrier round used to reject
+        # expenditure, and so the truth (FEASIBLE), as it was; the witness
+        # search never looks at the slack program, whose quantity logs would
+        # leave the box at 1e14 and whose phase I stalls at 1e-12
         agg, _ = make_aggregate(9012, periods=6, goods=2)
         stats = MarketStatistics(prices=agg.prices / factor, quantities=agg.quantities * factor)
-        assert check_collective(stats, 2).status is not Status.INFEASIBLE
-
-    def test_units_times_1e14_say_no_search_ran(self, monkeypatch):
-        # the quantity logs need about 32, outside the box, so the main
-        # objective stays far above tol_accept and the search is skipped
-        agg, _ = make_aggregate(9012, periods=6, goods=2)
-        stats = MarketStatistics(prices=agg.prices / 1e14, quantities=agg.quantities * 1e14)
-        searched = []
-        monkeypatch.setattr(collective, "_witness_search", lambda *args: searched.append(1))
-        res = check_collective(stats, 2)
-        assert res.status is Status.UNDECIDED
-        assert res.decision.optimum > 1e-6
-        assert res.decision.detail == (
-            f"slack optimum {res.decision.optimum:.3e} above tol_accept 1.000e-06; "
-            "no witness search ran"
-        )
-        assert not searched
-
-    def test_units_times_1e6_are_feasible(self):
-        # the same cross expenditures as the unscaled aggregate, whose truth is FEASIBLE
-        agg, _ = make_aggregate(9012, periods=6, goods=2)
-        stats = MarketStatistics(prices=agg.prices / 1e6, quantities=agg.quantities * 1e6)
         res = check_collective(stats, 2)
         assert res.status is Status.FEASIBLE
+        assert res.decision.detail == "verified witness found"
         assert verify_allocation(stats, res.allocation)
+
+    def test_search_win_builds_no_program(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the slack program was built")
+
+        agg, _ = make_aggregate(9031, periods=6, goods=3)
+        monkeypatch.setattr(collective, "build_collective_program", refused)
+        res = check_collective(agg, 2)
+        assert res.status is Status.FEASIBLE
+        assert verify_allocation(agg, res.allocation)
 
     def test_starts_are_the_share_patterns(self, monkeypatch):
         agg, _ = make_aggregate(9012, periods=6, goods=2)
@@ -231,7 +220,8 @@ class TestCheckCollective:
             np.testing.assert_array_equal(q, expected)
 
     def test_share_start_wins_in_three_lps(self, monkeypatch):
-        # two multiplier LPs and one split LP from the first share start
+        # two multiplier LPs and one split LP from the first share start, and
+        # no barrier solve
         agg, _ = make_aggregate(9012, periods=6, goods=2)
         names, lps, starts = [], [], []
         solve, linprog, splits = convex.solve, collective.linprog, collective._splits
@@ -254,7 +244,7 @@ class TestCheckCollective:
         res = check_collective(agg, 2)
         assert res.status is Status.FEASIBLE
         assert verify_allocation(agg, res.allocation)
-        assert names == ["collective-k2-T6-n2"]
+        assert names == []
         assert len(starts) == 1 and len(lps) <= 3
 
     def test_witness_is_deterministic(self):
@@ -273,28 +263,25 @@ class TestCheckCollective:
     @pytest.mark.parametrize(
         "bound, status, detail",
         [
-            (
-                1e-5,
-                Status.UNDECIDED,
-                "slack optimum 2.000e-05 above tol_accept 1.000e-06; no witness search ran",
-            ),
+            (1e-5, Status.UNDECIDED, "no verifiable split found within the search budget"),
             (1e-4, Status.INFEASIBLE, "slack optimum certified >= 1.000e-04"),
         ],
     )
     def test_only_tol_reject_rejects(self, monkeypatch, bound, status, detail):
-        # a main-solve bound above the solver's eps rejects only at tol_reject
+        # after a search miss, a main-solve bound above the solver's eps
+        # rejects only at tol_reject
         agg, _ = make_aggregate(9012, periods=6, goods=2)
         solve = convex.solve
 
         def bounded(program, *args, **kwargs):
             res = solve(program, *args, **kwargs)
-            if "-repair-" in program.name:
-                return res
             return dataclasses.replace(res, lower_bound=bound, objective=2.0 * bound)
 
+        monkeypatch.setattr(collective, "_witness_search", lambda *args: None)
         monkeypatch.setattr(convex, "solve", bounded)
         res = check_collective(agg, 2, tol_reject=1e-4)
         assert res.status is status
+        assert res.decision.optimum == 2.0 * bound
         assert res.decision.detail == detail
 
     def test_hint_short_circuits(self):
