@@ -366,8 +366,8 @@ def check_collective(
     the even split of a single-consumer rationalizable aggregate; then the
     witness search (:func:`_witness_search`), which alternates an LP for
     the multipliers with an LP for the split from each share start in turn.
-    A verified split from the search is FEASIBLE with no optimum, since no
-    program was solved.
+    Each of these acceptances is FEASIBLE with no optimum, since no program
+    was solved.
 
     Only after the search misses is the slack program solved, and only to
     reject: a certified lower bound on its optimum of at least tol_reject
@@ -393,9 +393,7 @@ def check_collective(
     if hint is not None and hint.consumers == k and verify_allocation(stats, hint):
         if np.all(hint.residuals <= tol_accept * stats.quantities):
             return CollectiveResult(
-                decision=Decision(
-                    Status.FEASIBLE, optimum=0.0, detail="verified hint allocation"
-                ),
+                decision=Decision(Status.FEASIBLE, detail="verified hint allocation"),
                 k=k,
                 allocation=hint,
             )
@@ -412,7 +410,6 @@ def check_collective(
             return CollectiveResult(
                 decision=Decision(
                     Status.FEASIBLE,
-                    optimum=0.0,
                     detail="aggregate is single-consumer rationalizable; even split",
                 ),
                 k=k,

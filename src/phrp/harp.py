@@ -15,6 +15,7 @@ whose expenditure-ratio product below 1 witnesses the violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,9 @@ class CrossGraph:
             ``log(p^tau . q^t) - log(p^t . q^t)``.  The diagonal is zero.
             It is F-ordered: ``weights.T`` is the C-contiguous incoming-edge
             array, whose row t holds the weights of the edges entering t.
-        cross_expenditures: (T, T) matrix ``C[a, b] = p^a . q^b``.
     """
 
     weights: NDArray[np.float64]
-    cross_expenditures: NDArray[np.float64]
 
     @property
     def nodes(self) -> int:
@@ -146,32 +145,28 @@ class HarpResult:
         return self.decision.status
 
 
-def build_cross_graph(stats: MarketStatistics) -> CrossGraph:
+def build_cross_graph(stats: MarketStatistics) -> CrossGraph | None:
     """Cross-expenditure log-ratio graph of the difference-constraint system.
 
-    The logs are written tile by tile into a C-contiguous incoming-edge
-    array ``into[t, tau] = log(p^tau . q^t)``, one block of target rows at a
-    time, and each row t is reduced by ``log(p^t . q^t)`` while its block
-    is hot.  ``weights`` is the F-ordered view ``into.T``, so
-    ``weights[tau, t]`` keeps its meaning while the relaxation rounds read
-    ``into`` row by row without a copy.
+    The incoming-edge array ``into[t, tau] = q^t . p^tau`` comes from one
+    C-contiguous product; its logs are taken in place, and each row t is
+    reduced by its own diagonal entry ``log(p^t . q^t)``.  ``weights`` is the
+    F-ordered view ``into.T``, so ``weights[tau, t]`` keeps its meaning while
+    the relaxation rounds read ``into`` row by row without a copy.  The
+    graph is the only T x T array built.
+
+    Returns None, before any log is taken, when some cross expenditure
+    over- or underflowed: such an entry has no log weight.
     """
-    cross = stats.cross_expenditures()
-    T = cross.shape[0]
-    B = _kernels.BLOCK_ROWS
-    into = np.empty((T, T))
-    # over- or underflowed entries give infinite or NaN weights, which callers reject
-    with np.errstate(divide="ignore", invalid="ignore"):
-        own = np.log(np.diagonal(cross))
-        for j in range(0, T, B):
-            rows = into[j : j + B]
-            for i in range(0, T, B):
-                np.log(cross[i : i + B, j : j + B].T, out=rows[:, i : i + B])
-            rows -= own[j : j + B, None]
+    with np.errstate(over="ignore"):
+        into = stats.quantities @ stats.prices.T
+    if not 0.0 < into.min() <= into.max() < np.inf:
+        return None
+    np.log(into, out=into)
+    into -= into.diagonal().copy()[:, None]
     np.fill_diagonal(into, 0.0)
     into.setflags(write=False)
-    cross.setflags(write=False)
-    return CrossGraph(weights=into.T, cross_expenditures=cross)
+    return CrossGraph(weights=into.T)
 
 
 def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -180,11 +175,13 @@ def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _cycle_stats(
-    cycle: list[int], weights: NDArray[np.float64], cross: NDArray[np.float64]
+    cycle: list[int], weights: NDArray[np.float64], stats: MarketStatistics
 ) -> tuple[float, float]:
     nxt = cycle[1:] + cycle[:1]
     log_weight = float(sum(weights[a, b] for a, b in zip(cycle, nxt)))
-    ratio = float(np.prod([cross[a, b] / cross[b, b] for a, b in zip(cycle, nxt)]))
+    # from the cycle's own dot products (p^a . q^b) / (p^b . q^b), not from the graph
+    p, q = stats.prices, stats.quantities
+    ratio = float(math.prod((p[a] @ q[b]) / (p[b] @ q[b]) for a, b in zip(cycle, nxt)))
     # long cycles over extreme data can under/overflow the direct product;
     # fall back to the (clamped) log form so the pair stays consistent
     if not 0.0 < ratio < np.inf or abs(np.log(ratio) - log_weight) > 5e-10:
@@ -228,6 +225,11 @@ def shortest_potentials(
     so an improvement in round T + 1 implies a parent cycle: one of the two
     is always returned.
 
+    Each round after the first relaxes only the edges out of the nodes the
+    round before improved, a mask the kernel leaves for the next call.  The
+    labels, parents and cycles are those of relaxing every edge in every
+    round.
+
     ``weights`` is made F-ordered once, so the rounds read its incoming-edge
     rows in place; the graphs of :func:`build_cross_graph` already are.
     """
@@ -235,8 +237,9 @@ def shortest_potentials(
     T = weights.shape[0]
     dist = np.zeros(T)
     parent = np.full(T, -1, dtype=np.int64)
+    frontier = np.ones(T, dtype=bool)
     for _ in range(T + 1):
-        dist, parent, _, settled = _kernels.bf_rounds(weights, dist, parent, 1)
+        dist, parent, _, settled = _kernels.bf_rounds(weights, dist, parent, 1, frontier)
         if settled:
             return dist, None
         cycle = _parent_cycle(parent)
@@ -268,8 +271,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             certificate=cert,
         )
     graph = build_cross_graph(stats)
-    cross = graph.cross_expenditures
-    if not 0.0 < cross.min() <= cross.max() < np.inf:
+    if graph is None:
         # a cross expenditure that over- or underflowed carries no log weight,
         # so neither a certificate nor a cycle ratio over it can be trusted
         return HarpResult(
@@ -277,7 +279,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
         )
     labels, cycle = shortest_potentials(graph.weights)
     if cycle is None:
-        del graph, cross  # verify_certificate builds its own cross expenditures
+        del graph  # verify_certificate builds its own cross expenditures
         lambdas = _softmax(labels)
         if not lambdas.min() > 0.0:  # labels more than ~745 apart underflow
             return HarpResult(Decision(Status.UNDECIDED, detail="multipliers span beyond float64"))
@@ -290,7 +292,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             Decision(Status.FEASIBLE, detail="shortest-path potentials found"),
             certificate=cert,
         )
-    log_weight, ratio = _cycle_stats(cycle, graph.weights, cross)
+    log_weight, ratio = _cycle_stats(cycle, graph.weights, stats)
     if not (log_weight < 0.0 and ratio < 1.0):
         return HarpResult(
             Decision(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,8 @@ from phrp.model import MarketStatistics, Status
 
 class TestCrossGraph:
     def test_underflowed_cross_expenditure_does_not_warn(self):
-        # p^0 . q^1 underflows to 0: its weight is -inf, and no warning is printed
+        # p^0 . q^1 underflows to 0: it has no log weight, so no graph is built
+        # and no warning is printed
         stats = MarketStatistics(
             prices=[[1e-200, 1e-202], [0.01, 1.0]],
             quantities=[[0.01, 1.0], [1e-200, 1e-202]],
@@ -33,8 +35,9 @@ class TestCrossGraph:
             warnings.simplefilter("error")
             graph = build_cross_graph(stats)
             result = check_harp(stats)
-        assert graph.weights[0, 1] == -np.inf
+        assert graph is None
         assert result.status is Status.UNDECIDED
+        assert result.decision.detail == "cross expenditures overflow or underflow"
 
     def test_weights_example(self, feasible2):
         graph = build_cross_graph(feasible2)
@@ -59,7 +62,7 @@ class TestCrossGraph:
 
     @pytest.mark.parametrize("T", [1, 2, 127, 128, 129, 600])
     def test_incoming_edge_layout(self, T):
-        # tiles straddle BLOCK_ROWS = 128; prices and quantities spanning
+        # sizes straddle BLOCK_ROWS = 128; prices and quantities spanning
         # 1e-3..1e3 make every bit of the logs count
         rng = np.random.default_rng(T)
         stats = MarketStatistics(
@@ -67,11 +70,12 @@ class TestCrossGraph:
             quantities=np.exp(rng.uniform(-7, 7, (T, 4))),
         )
         graph = build_cross_graph(stats)
-        logs = np.log(stats.cross_expenditures())
-        want = logs - np.diag(logs)[None, :]
+        # into[t, tau] = log(q^t . p^tau) - log(q^t . p^t), from the same product
+        logs = np.log(stats.quantities @ stats.prices.T)
+        want = logs - np.diag(logs)[:, None]
         np.fill_diagonal(want, 0.0)
         assert graph.weights.T.flags.c_contiguous
-        assert graph.weights.tobytes(order="C") == want.tobytes()
+        assert graph.weights.T.tobytes() == want.tobytes()
 
 
 class TestCheckHarp:
@@ -81,6 +85,20 @@ class TestCheckHarp:
         assert verify_certificate(feasible2, result.certificate)
         # the hand-derived multipliers are one valid certificate
         assert verify_certificate(feasible2, np.array([4.0 / 7.0, 3.0 / 7.0]))
+
+    def test_peak_memory_is_one_square_array(self):
+        # the cross graph is the only T x T array alive during relaxation, and
+        # it is released before verify_certificate builds its own
+        T = 1000
+        stats = make_cd(2, periods=T, goods=4)
+        tracemalloc.start()
+        try:
+            result = check_harp(stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status is Status.FEASIBLE
+        assert peak < 1.5 * 8 * T * T
 
     def test_infeasible_example(self, infeasible2):
         result = check_harp(infeasible2)

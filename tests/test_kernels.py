@@ -121,6 +121,68 @@ class TestBfRounds:
                     np.testing.assert_array_equal(got[1], want[1])
                     assert got[2:] == want[2:]
 
+    @pytest.mark.parametrize("T", [1, 127, 128, 129, 389])
+    @pytest.mark.parametrize("diagonal", DIAGONALS)
+    def test_frontier_rounds_match_whole_matrix(self, T, diagonal):
+        # one-round calls chained through each round's improved nodes, on the
+        # tie-heavy graphs above: only the edges out of the frontier are read,
+        # yet labels, parents and first-index ties are those of every edge
+        rng = np.random.default_rng(T)
+        parent0 = np.full(T, -1, dtype=np.int64)
+        dense = set()
+        for low in (0, -1):  # settles, then a graph full of negative cycles
+            w = rng.integers(low, 4, (T, T)).astype(np.float64)
+            w[rng.random((T, T)) < 0.05] = np.inf
+            np.fill_diagonal(w, diagonal)
+            starts = [np.zeros(T), rng.integers(-2, 3, T).astype(np.float64)]
+            frontiers = [np.ones(T, dtype=bool), np.ones(T, dtype=bool)]
+            if low == 0:
+                # settled labels with a few, then many, labels lowered: only
+                # the lowered nodes may have edges that improve anything
+                settled = _whole_matrix_rounds(w, starts[1], parent0, T + 1)[0]
+                for count in (1 + T // 20, 1 + 2 * T // 5):
+                    lowered = rng.choice(T, count, replace=False)
+                    starts.append(settled.copy())
+                    starts[-1][lowered] -= rng.integers(1, 4, count)
+                    frontiers.append(np.isin(np.arange(T), lowered))
+            for dist0, frontier in zip(starts, frontiers):
+                want = got = (dist0, parent0)
+                for _ in range(T + 1):
+                    dense.add(T <= _kernels.BLOCK_ROWS or 2 * np.count_nonzero(frontier) > T)
+                    step = _whole_matrix_rounds(w, *want[:2], 1)
+                    got = _kernels.bf_rounds(w, *got[:2], 1, frontier)
+                    np.testing.assert_array_equal(got[0], step[0])
+                    np.testing.assert_array_equal(got[1], step[1])
+                    assert got[2:] == step[2:]
+                    # the kernel leaves the round's improved nodes in the mask
+                    np.testing.assert_array_equal(frontier, step[0] < want[0])
+                    want = step
+                    if got[3]:
+                        break
+                else:
+                    assert low == -1  # only the graphs with negative cycles never settle
+                    continue
+                # a settled graph's empty frontier relaxes nothing
+                assert not frontier.any()
+                again = _kernels.bf_rounds(w, *got[:2], 5, frontier)
+                assert again[2:] == (1, True)
+                assert again[0].tobytes() == got[0].tobytes()
+                np.testing.assert_array_equal(again[1], got[1])
+        # rounds on both sides of the dense/gather switch wherever it can gather
+        assert dense == ({True, False} if T > _kernels.BLOCK_ROWS else {True})
+
+    @pytest.mark.parametrize("T", [4, 300])
+    def test_empty_frontier_relaxes_nothing(self, T):
+        # even where unsettled labels would improve through a full round
+        w = _random_graph(4, T)
+        frontier = np.zeros(T, dtype=bool)
+        start = (np.zeros(T), np.full(T, -1, dtype=np.int64))
+        assert not _kernels.bf_rounds(w, *start, 1)[3]
+        dist, parent, rounds, converged = _kernels.bf_rounds(w, *start, 3, frontier)
+        assert (rounds, converged) == (1, True)
+        np.testing.assert_array_equal(dist, start[0])
+        np.testing.assert_array_equal(parent, start[1])
+
 
 def test_segment_logsumexp_reference():
     z = np.array([0.0, 0.0, 1.0])
