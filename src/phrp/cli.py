@@ -58,9 +58,7 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# for k >= 2 the witness search uses neither tolerance; the CLI passes no hint
-_COL_TOL_ACCEPT = "for k >= 2 bounds only a hint's residuals; must be below --tol-reject"
-_COL_TOL_REJECT = "after a witness search miss, INFEASIBLE needs a slack bound certified >= this"
+_COL_TOL_REJECT = "k < n only: after a search miss, a certified slack bound >= this rejects"
 
 
 def _build_parser() -> _Parser:
@@ -81,19 +79,15 @@ def _build_parser() -> _Parser:
     p_sep.add_argument(
         "--y-cols", required=True, help="comma-separated 1-based goods columns of the y-block"
     )
-    p_sep.add_argument("--tol-accept", type=float, default=1e-6)
-    p_sep.add_argument("--tol-reject", type=float, default=1e-4)
 
     p_col = sub.add_parser("collective", help="k-consumer rationalizability")
     add_io(p_col)
     p_col.add_argument("--k", type=int, required=True)
-    p_col.add_argument("--tol-accept", type=float, default=1e-6, help=_COL_TOL_ACCEPT)
     p_col.add_argument("--tol-reject", type=float, default=1e-4, help=_COL_TOL_REJECT)
 
     p_cn = sub.add_parser("class-number", help="minimal accepted consumer count")
     add_io(p_cn)
     p_cn.add_argument("--k-max", type=int, default=None)
-    p_cn.add_argument("--tol-accept", type=float, default=1e-6, help=_COL_TOL_ACCEPT)
     p_cn.add_argument("--tol-reject", type=float, default=1e-4, help=_COL_TOL_REJECT)
 
     p_gen = sub.add_parser("gen", help="write synthetic ground-truth data")
@@ -182,16 +176,14 @@ def _run_separability(args) -> tuple[dict, int]:
     stats = model.load_statistics(args.input)
     y_cols = _parse_y_cols(args.y_cols, stats.goods)
     part = model.partition(stats, y_cols)
-    result = separability.check_separability(
-        part, tol_accept=args.tol_accept, tol_reject=args.tol_reject
-    )
+    result = separability.check_separability(part)
     report = {
         "command": "separability",
         "input_digest": _digest(Path(args.input)),
         "status": result.status.value,
         "detail": result.decision.detail,
         "optimum": result.decision.optimum,
-        "tolerances": {"tol_accept": args.tol_accept, "tol_reject": args.tol_reject},
+        "tolerances": {},
         "y_cols": [c + 1 for c in y_cols],
         "lambdas": result.lambdas.tolist() if result.lambdas is not None else None,
         "mus": result.mus.tolist() if result.mus is not None else None,
@@ -204,16 +196,14 @@ def _run_collective(args) -> tuple[dict, int]:
     stats = model.load_statistics(args.input)
     if args.k < 1:
         raise UsageError("--k must be at least 1")
-    result = collective_mod.check_collective(
-        stats, args.k, tol_accept=args.tol_accept, tol_reject=args.tol_reject
-    )
+    result = collective_mod.check_collective(stats, args.k, tol_reject=args.tol_reject)
     report = {
         "command": "collective",
         "input_digest": _digest(Path(args.input)),
         "status": result.status.value,
         "detail": result.decision.detail,
         "optimum": result.decision.optimum,
-        "tolerances": {"tol_accept": args.tol_accept, "tol_reject": args.tol_reject},
+        "tolerances": {"tol_reject": args.tol_reject},
         "k": args.k,
         "witness": _witness_json(result.allocation),
     }
@@ -224,16 +214,14 @@ def _run_class_number(args) -> tuple[dict, int]:
     stats = model.load_statistics(args.input)
     if args.k_max is not None and args.k_max < 1:
         raise UsageError("--k-max must be at least 1")
-    result = collective_mod.class_number(
-        stats, k_max=args.k_max, tol_accept=args.tol_accept, tol_reject=args.tol_reject
-    )
+    result = collective_mod.class_number(stats, k_max=args.k_max, tol_reject=args.tol_reject)
     report = {
         "command": "class-number",
         "input_digest": _digest(Path(args.input)),
         "status": result.status,
         "detail": f"certified lower bound {result.certified_lower_bound}",
         "optimum": None,
-        "tolerances": {"tol_accept": args.tol_accept, "tol_reject": args.tol_reject},
+        "tolerances": {"tol_reject": args.tol_reject},
         "value": result.value,
         "certified_lower_bound": result.certified_lower_bound,
         "per_k": {str(k): d.status.value for k, d in result.per_k.items()},

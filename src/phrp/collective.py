@@ -3,11 +3,13 @@
 The observed demand is k-consumer rationalizable when it splits into k
 strictly positive per-consumer demands, each PH-rationalizable on its own,
 that sum componentwise to the data.  For k = 1 this is the exact
-graph-based test.  For k >= 2 a witness search runs first.  Under PH each
-consumer's inequalities lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t
-are linear in the split once the multipliers are fixed, and fix the
-multipliers by a min-max-cycle LP once the split is fixed; the search
-alternates these two exact LP steps from fixed share patterns.  Every split
+graph-based test.  For k >= n goods the answer is always yes, shown by a
+closed-form split with collinear bundles per consumer.  For 2 <= k < n a
+witness search runs first.  Under PH each consumer's inequalities
+lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t are linear in the split
+once the multipliers are fixed, and fix the multipliers by a min-max-cycle
+LP once the split is fixed; the search alternates these two exact LP steps
+from fixed share patterns.  Every split
 it reaches is rescaled onto exact balance and validated per consumer with
 the exact test, so a FEASIBLE verdict ships a checkable split whatever the
 LPs returned.  Only when the search misses is the log-domain slack program
@@ -35,6 +37,7 @@ from .harp import check_harp, verify_certificate
 from .model import Decision, MarketStatistics, Status
 
 _FLOOR = 1e-6  # least share of each good the split step leaves a consumer
+_HINT_RESIDUAL = 1e-6  # largest residual share of each quantity a hint may leave
 _LOG_SPAN = 300.0  # |log multiplier| cap: exp(d - max d) stays a positive float64
 
 
@@ -197,30 +200,20 @@ def verify_allocation(
     return True
 
 
-def _per_consumer_lambdas(
-    stats: MarketStatistics, sub_q: NDArray[np.float64]
-) -> NDArray[np.float64] | None:
-    """Exact per-consumer multipliers, or None if some consumer fails."""
-    k = sub_q.shape[0]
-    lams = np.empty((k, stats.periods))
-    for a in range(k):
-        result = check_harp(MarketStatistics(prices=stats.prices, quantities=sub_q[a]))
-        if result.status is not Status.FEASIBLE:
-            return None
-        lams[a] = result.certificate.lambdas
-    return lams
-
-
 def _extract_allocation(
     stats: MarketStatistics, qtil: NDArray[np.float64]
 ) -> AllocationSolution | None:
-    """Rescale a log-split onto exact balance and validate it per consumer."""
+    """Rescale a log-split onto exact balance and validate it per consumer,
+    taking each consumer's multipliers from the exact test."""
     Q = stats.quantities
     sub_q = np.exp(qtil)
     scaled = sub_q * (Q / sub_q.sum(axis=0))[None, :, :]
-    lams = _per_consumer_lambdas(stats, scaled)
-    if lams is None:
-        return None
+    lams = np.empty(scaled.shape[:2])
+    for a, q in enumerate(scaled):
+        result = check_harp(MarketStatistics(prices=stats.prices, quantities=q))
+        if result.status is not Status.FEASIBLE:
+            return None
+        lams[a] = result.certificate.lambdas
     residuals = np.maximum(Q - scaled.sum(axis=0), 0.0)
     alloc = AllocationSolution(
         sub_quantities=scaled, sub_lambdas=lams, residuals=residuals, totals=Q
@@ -351,10 +344,37 @@ def _witness_search(stats: MarketStatistics, k: int) -> AllocationSolution | Non
     return None
 
 
+def _collinear_split(stats: MarketStatistics, k: int) -> AllocationSolution | None:
+    """For k >= n, a verified split with collinear bundles per consumer, or
+    None where its numbers leave float64.
+
+    Consumer a < n buys c_{t,a} v_a, with v_a = (1 - d) e_a + (d / n) 1,
+    c_t = V^-1 Q^t > 0 and d = min(1/2, (n/2) min_{t,i} Q_ti / sum_i Q_ti);
+    lam_{a,t} = 1 / (p^t . v_a) meets all of a's inequalities with equality.
+    :func:`split_witness` adds the consumers beyond n.
+    """
+    Q, n = stats.quantities, stats.goods
+    with np.errstate(all="ignore"):
+        total = Q.sum(axis=1, keepdims=True)
+        d = min(0.5, 0.5 * n * float((Q / total).min()))
+        V = (1.0 - d) * np.eye(n) + d / n  # row a is v_a
+        sub_q = ((Q - d / n * total) / (1.0 - d)).T[:, :, None] * V[:, None, :]
+        log_lam = -np.log(stats.prices @ V.T).T
+        lams = np.exp(log_lam - log_lam.max(axis=1, keepdims=True))
+    if not (np.all(np.isfinite(sub_q) & (sub_q > 0.0)) and np.all(lams > 0.0)):
+        return None
+    try:
+        alloc = AllocationSolution(sub_q, lams, np.maximum(Q - sub_q.sum(axis=0), 0.0), Q)
+        for _ in range(k - n):
+            alloc = split_witness(alloc)
+    except ValueError:  # a subnormal bundle that lost balance or positivity
+        return None
+    return alloc if verify_allocation(stats, alloc) else None
+
+
 def check_collective(
     stats: MarketStatistics,
     k: int,
-    tol_accept: float = 1e-6,
     tol_reject: float = 1e-4,
     hint: AllocationSolution | None = None,
 ) -> CollectiveResult:
@@ -362,12 +382,13 @@ def check_collective(
 
     k = 1 delegates to the exact graph test.  For k >= 2 an optional
     ``hint`` allocation that passes direct verification, with every residual
-    below tol_accept times the observed quantity, is accepted first; then
-    the even split of a single-consumer rationalizable aggregate; then the
-    witness search (:func:`_witness_search`), which alternates an LP for
-    the multipliers with an LP for the split from each share start in turn.
-    Each of these acceptances is FEASIBLE with no optimum, since no program
-    was solved.
+    below _HINT_RESIDUAL times the observed quantity, is accepted first;
+    then the even split of a single-consumer rationalizable aggregate.  For
+    k >= n goods :func:`_collinear_split` decides next (UNDECIDED where it
+    does not verify); for k < n the witness search (:func:`_witness_search`)
+    alternates an LP for the multipliers with an LP for the split from each
+    share start in turn.  Each of these acceptances is FEASIBLE with no
+    optimum, since no program was solved.
 
     Only after the search misses is the slack program solved, and only to
     reject: a certified lower bound on its optimum of at least tol_reject
@@ -376,8 +397,8 @@ def check_collective(
     relaxed program is satisfiable for any data, so a failure to find a
     witness is never INFEASIBLE by itself.
     """
-    if not 0.0 < tol_accept < tol_reject:
-        raise ValueError("need 0 < tol_accept < tol_reject")
+    if not tol_reject > 0.0:
+        raise ValueError("need tol_reject > 0")
     if k == 1:
         res = check_harp(stats)
         alloc = None
@@ -391,7 +412,7 @@ def check_collective(
         return CollectiveResult(decision=res.decision, k=1, allocation=alloc)
 
     if hint is not None and hint.consumers == k and verify_allocation(stats, hint):
-        if np.all(hint.residuals <= tol_accept * stats.quantities):
+        if np.all(hint.residuals <= _HINT_RESIDUAL * stats.quantities):
             return CollectiveResult(
                 decision=Decision(Status.FEASIBLE, detail="verified hint allocation"),
                 k=k,
@@ -415,6 +436,14 @@ def check_collective(
                 k=k,
                 allocation=alloc,
             )
+
+    if k >= stats.goods:  # the program cannot soundly reject here: never solve it
+        alloc = _collinear_split(stats, k)
+        if alloc is None:
+            detail = "collinear split for k >= n does not verify in float64"
+            return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=detail), k=k)
+        decision = Decision(Status.FEASIBLE, detail="collinear split for k >= n")
+        return CollectiveResult(decision=decision, k=k, allocation=alloc)
 
     alloc = _witness_search(stats, k)
     if alloc is not None:  # no program was solved, so there is no optimum
@@ -469,13 +498,13 @@ def split_witness(alloc: AllocationSolution, consumer: int = 0) -> AllocationSol
 def class_number(
     stats: MarketStatistics,
     k_max: int | None = None,
-    tol_accept: float = 1e-6,
     tol_reject: float = 1e-4,
 ) -> ClassNumberResult:
     """Smallest k accepted by check_collective, scanning k = 1, 2, ...
 
-    The default budget k_max = n (the number of goods) is a pragmatic
-    heuristic, not a guaranteed upper bound for the minimal k.
+    The default budget k_max = n (the number of goods) is a proven upper
+    bound: every data set is n-consumer rationalizable, and check_collective
+    shows it with the collinear split unless its numbers leave float64.
     """
     if k_max is None:
         k_max = stats.goods
@@ -487,7 +516,7 @@ def class_number(
     undecided_below = False
     lower = 1
     for k in range(1, k_max + 1):
-        res = check_collective(stats, k, tol_accept=tol_accept, tol_reject=tol_reject)
+        res = check_collective(stats, k, tol_reject=tol_reject)
         per_k[k] = res.decision
         if res.status is Status.FEASIBLE:
             value = k

@@ -79,13 +79,13 @@ class Status(str, enum.Enum):
 class Decision:
     """Outcome of a decision procedure.
 
-    UNDECIDED is reserved for genuine numerical ambiguity: an optimum inside
-    the configured ambiguity band, a solve whose phase I stalled, or a
-    solver point that fails independent verification.
+    UNDECIDED is reserved for genuine numerical ambiguity: a collective slack
+    bound below tol_reject, a solve whose phase I stalled, or search points
+    that fail independent verification.
 
     Attributes:
         status: FEASIBLE / INFEASIBLE / UNDECIDED.
-        optimum: objective value of the underlying program, when one was solved.
+        optimum: the collective slack program's objective, when one was solved.
         detail: human-readable explanation.
     """
 

@@ -10,18 +10,19 @@ of the y-goods.  This holds iff positive multipliers (lam, mu) satisfy
 for all t, tau, with sum_t lam_t = 1, where E^t is total expenditure.  For
 fixed multipliers ``lam``, system (b) is a difference-constraint system in
 log(mu), solved exactly by shortest paths.  The decision pipeline combines
-four mechanisms:
+three mechanisms:
 
   * exact necessary checks (the y-block and the full data must each pass the
-    homogeneous rationalizability test);
+    homogeneous rationalizability test), the only source of NOT_SEPARABLE;
   * an exact start: ``lam`` = the y-block certificate, which satisfies (a) by
     construction, with the shortest-path mu; when the pair verifies, the
     verdict is SEPARABLE and no program is built;
-  * otherwise the log-domain slack-minimization program built from (a)-(b),
-    which rejects when its optimum is certified to be at least tol_reject;
-  * and a verified-certificate search, which improves ``lam`` by the
+  * otherwise a verified-certificate search, which improves ``lam`` by the
     convex-concave procedure of :func:`phrp.convex.ccp` (inner
-    linearizations of (b)), resolving mu exactly at every iterate.
+    linearizations of (b)), resolving mu exactly at every iterate.  Its first
+    start is the lam of the log-domain slack program built from (a)-(b).
+    That program never rejects: letting sum_t lam_t shrink satisfies every
+    row, so its infimum is 0 whenever the y-block passes.
 
 Acceptance always re-validates (a)-(b) directly, so a SEPARABLE verdict never
 rests on the solver alone.
@@ -114,7 +115,7 @@ class SeparabilityResult:
 
 
 def build_separability_program(inst: SeparabilityInstance) -> convex.LogConvexProgram:
-    """Slack-minimization program deciding complete PH-separability.
+    """Slack-minimization program over (a)-(b): the certificate search's first start.
 
     Variables: log multipliers lam_1..lam_T and mu_1..mu_T plus one slack.
     The rows are (a) in logs for every ordered pair t != tau, then (b) for
@@ -311,9 +312,9 @@ def _verified_multipliers(inst: SeparabilityInstance, lam_starts):
     return convex.ccp(starts, accept, linearise, rounds=40, max_iter=20_000, step_tol=1e-11)
 
 
-def _separable(part, lam, mus, optimum, detail) -> SeparabilityResult:
+def _separable(part, lam, mus, detail) -> SeparabilityResult:
     return SeparabilityResult(
-        decision=Decision(Status.FEASIBLE, optimum=optimum, detail=detail),
+        decision=Decision(Status.FEASIBLE, detail=detail),
         lambdas=lam,
         mus=mus,
         subutility=reconstruct_subutility(lam, part.y_prices),
@@ -321,24 +322,20 @@ def _separable(part, lam, mus, optimum, detail) -> SeparabilityResult:
     )
 
 
-def check_separability(
-    part: PartitionedStatistics,
-    tol_accept: float = 1e-6,
-    tol_reject: float = 1e-4,
-) -> SeparabilityResult:
+def check_separability(part: PartitionedStatistics) -> SeparabilityResult:
     """Decide complete PH-separability of the partition.
 
-    SEPARABLE requires multipliers that pass direct verification at 1e-8.
-    They come from the exact start (the y-block certificate with the
-    shortest-path mu; ``optimum`` is then None, as no program is solved) or
-    else from the certificate search after a slack optimum <= tol_accept.
-    NOT_SEPARABLE requires an exact necessary check to fail or, the only
-    rejection by the program, a certified lower bound on its slack optimum
-    of at least tol_reject.  Anything in between, and data whose cross
-    expenditures overflow or underflow, is UNDECIDED.
+    NOT_SEPARABLE requires an exact necessary check to fail: the y-block or
+    the full data fails the homogeneous rationalizability test.  SEPARABLE
+    requires multipliers that pass direct verification at 1e-8.  They come
+    from the exact start (the y-block certificate with the shortest-path mu)
+    or else from the certificate search, started from the slack program's
+    lam and then from the y-block certificate.  ``optimum`` is always None:
+    the program's infimum is 0 for every partition whose y-block passes, so
+    its objective is no evidence either way.  A stalled phase I, a search
+    that verifies nothing, and data whose cross expenditures overflow or
+    underflow are UNDECIDED.
     """
-    if not 0.0 < tol_accept < tol_reject:
-        raise ValueError("need 0 < tol_accept < tol_reject")
     inst = SeparabilityInstance.from_partition(part)
     T = inst.periods
     if not inst.finite_positive:
@@ -377,37 +374,19 @@ def check_separability(
         mus, verified = _resolve_and_verify(inst, lam, 1e-8)
         if verified:
             detail = "exact start: y-block certificate and shortest-path mu verified"
-            return _separable(part, lam, mus, None, detail)
+            return _separable(part, lam, mus, detail)
 
-    prog = build_separability_program(inst)
-    sol = convex.solve(prog)
-    if sol.stalled is not None:  # phase I never finished: no slack optimum to judge
+    sol = convex.solve(build_separability_program(inst))
+    if sol.stalled is not None:  # phase I never finished: no point to start from
         return SeparabilityResult(decision=Decision(Status.UNDECIDED, detail=sol.stalled))
-    if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
-        return SeparabilityResult(
-            decision=Decision(
-                Status.INFEASIBLE,
-                optimum=sol.objective,
-                detail=f"slack optimum certified >= {sol.lower_bound:.3e}",
-            ),
-            violated_constraints=("program",),
-        )
-
     starts = [sol.point[:T]]
     if y_res.certificate is not None:
         starts.append(np.log(y_res.certificate.lambdas))
-    found = _verified_multipliers(inst, starts) if sol.objective <= tol_accept else None
+    found = _verified_multipliers(inst, starts)
     if found is not None:
-        lam, mus = found
-        return _separable(part, lam, mus, sol.objective, "verified multipliers found")
+        return _separable(part, *found, "verified multipliers found")
     return SeparabilityResult(
-        decision=Decision(
-            Status.UNDECIDED,
-            optimum=sol.objective,
-            detail="slack optimum near zero but no verifiable multipliers found"
-            if sol.objective <= tol_accept
-            else f"slack optimum {sol.objective:.3e} inside the ambiguity band",
-        )
+        decision=Decision(Status.UNDECIDED, detail="no verifiable multipliers found")
     )
 
 

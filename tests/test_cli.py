@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import extreme_scales
 from phrp import harp
 from phrp.cli import main, report_schema
-from phrp.model import save_statistics
+from phrp.model import MarketStatistics, save_statistics
 
 
 def _run(tmp_path, args, name="report.json"):
@@ -117,6 +118,7 @@ class TestSeparabilityCommand:
         _validate(report)
         assert report["status"] == "FEASIBLE"
         assert report["optimum"] is None  # the exact start verified; no program solved
+        assert report["tolerances"] == {}
         assert report["lambdas"] is not None
         assert report["violated_constraints"] == []
         code2, report2 = _run(tmp_path, args, "report2.json")
@@ -124,6 +126,24 @@ class TestSeparabilityCommand:
         report.pop("timings")
         report2.pop("timings")
         assert report == report2
+
+
+    def test_tol_reject_is_a_usage_error_exit_10(self, feasible_csv, capsys):
+        # the command rejects only through the exact harp checks
+        args = ["separability", "--input", str(feasible_csv), "--y-cols", "2"]
+        assert main(args + ["--tol-reject", "1e-4"]) == 10
+        assert "unrecognized arguments: --tol-reject" in capsys.readouterr().err
+
+
+def _lognormal_csv(tmp_path, goods):
+    rng = np.random.default_rng(0)
+    stats = MarketStatistics(
+        prices=np.exp(3.0 * rng.standard_normal((30, goods))),
+        quantities=np.exp(3.0 * rng.standard_normal((30, goods))),
+    )
+    path = tmp_path / f"lognormal{goods}.csv"
+    save_statistics(stats, path)
+    return path
 
 
 class TestCollectiveCommands:
@@ -143,6 +163,23 @@ class TestCollectiveCommands:
         code, report = _run(tmp_path, ["class-number", "--input", str(csv)])
         assert code in (0, 2, 3)
         _validate(report)
+
+    def test_k_equal_to_goods_exit_0(self, tmp_path):
+        csv = _lognormal_csv(tmp_path, goods=4)
+        code, report = _run(tmp_path, ["collective", "--input", str(csv), "--k", "4"])
+        assert code == 0
+        _validate(report)
+        assert report["tolerances"] == {"tol_reject": 1e-4}
+        assert report["witness"]["k"] == 4
+
+    def test_class_number_at_most_goods_exit_0(self, tmp_path):
+        # k = n is always accepted, so class-number finds a value within n
+        csv = _lognormal_csv(tmp_path, goods=2)
+        code, report = _run(tmp_path, ["class-number", "--input", str(csv)])
+        assert code == 0
+        _validate(report)
+        assert report["status"] == "FOUND" and report["value"] <= 2
+        assert report["tolerances"] == {"tol_reject": 1e-4}
 
     def test_class_number_all_undecided_exit_2(self, tmp_path):
         # k = 1, 2, 3 are all UNDECIDED: no k was rejected, so not exit 3

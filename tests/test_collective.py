@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_block_rows,
@@ -181,10 +183,9 @@ class TestCheckCollective:
     @pytest.mark.parametrize("factor", [1e6, 1e14, 1e-12])
     def test_quantity_units_are_no_rejection(self, factor):
         # quantities times factor and prices divided by it leave every cross
-        # expenditure, and so the truth (FEASIBLE), as it was; the witness
-        # search never looks at the slack program, whose quantity logs would
-        # leave the box at 1e14 and whose phase I stalls at 1e-12
-        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        # expenditure, and so the truth (FEASIBLE), as it was; at k = 2 < n the
+        # witness search decides and never looks at the slack program
+        agg, _ = make_aggregate(9031, periods=6, goods=3)
         stats = MarketStatistics(prices=agg.prices / factor, quantities=agg.quantities * factor)
         res = check_collective(stats, 2)
         assert res.status is Status.FEASIBLE
@@ -220,15 +221,12 @@ class TestCheckCollective:
             np.testing.assert_array_equal(q, expected)
 
     def test_share_start_wins_in_three_lps(self, monkeypatch):
-        # two multiplier LPs and one split LP from the first share start, and
-        # no barrier solve
+        # two multiplier LPs and one split LP from the first share start; the
+        # search is called directly, since check_collective takes the
+        # collinear split at k = n = 2
         agg, _ = make_aggregate(9012, periods=6, goods=2)
-        names, lps, starts = [], [], []
-        solve, linprog, splits = convex.solve, collective.linprog, collective._splits
-
-        def counted(program, *args, **kwargs):
-            names.append(program.name)
-            return solve(program, *args, **kwargs)
+        lps, starts = [], []
+        linprog, splits = collective.linprog, collective._splits
 
         def counted_lp(*args, **kwargs):
             lps.append(1)
@@ -238,13 +236,10 @@ class TestCheckCollective:
             starts.append(sub_q)
             return splits(stats, sub_q, rounds)
 
-        monkeypatch.setattr(convex, "solve", counted)
         monkeypatch.setattr(collective, "linprog", counted_lp)
         monkeypatch.setattr(collective, "_splits", recorded)
-        res = check_collective(agg, 2)
-        assert res.status is Status.FEASIBLE
-        assert verify_allocation(agg, res.allocation)
-        assert names == []
+        alloc = _witness_search(agg, 2)
+        assert alloc is not None and verify_allocation(agg, alloc)
         assert len(starts) == 1 and len(lps) <= 3
 
     def test_witness_is_deterministic(self):
@@ -268,9 +263,9 @@ class TestCheckCollective:
         ],
     )
     def test_only_tol_reject_rejects(self, monkeypatch, bound, status, detail):
-        # after a search miss, a main-solve bound above the solver's eps
-        # rejects only at tol_reject
-        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        # after a search miss at k < n, a main-solve bound above the solver's
+        # eps rejects only at tol_reject
+        agg, _ = make_aggregate(9031, periods=6, goods=3)
         solve = convex.solve
 
         def bounded(program, *args, **kwargs):
@@ -292,8 +287,61 @@ class TestCheckCollective:
         assert res.allocation is witness
 
     def test_tol_validation(self, feasible2):
-        with pytest.raises(ValueError):
-            check_collective(feasible2, 1, tol_accept=1.0, tol_reject=0.5)
+        for tol_reject in (0.0, -1e-4, float("nan")):
+            with pytest.raises(ValueError):
+                check_collective(feasible2, 1, tol_reject=tol_reject)
+
+
+class TestCollinearSplit:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        periods=st.integers(1, 30),
+        goods=st.integers(1, 5),
+        extra=st.integers(0, 1),
+        seed=st.integers(0, 10_000),
+    )
+    def test_k_at_least_n_is_feasible(self, periods, goods, extra, seed):
+        # any positive data splits among n consumers, or more, each with
+        # collinear bundles
+        rng = np.random.default_rng(seed)
+        stats = MarketStatistics(
+            prices=10.0 ** rng.uniform(-3, 3, (periods, goods)),
+            quantities=10.0 ** rng.uniform(-3, 3, (periods, goods)),
+        )
+        k = max(goods, 2) + extra
+        res = check_collective(stats, k)
+        assert res.status is Status.FEASIBLE
+        assert res.allocation.consumers == k
+        assert verify_allocation(stats, res.allocation)
+
+    def test_lognormal_k_equals_n_builds_no_program(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the slack program was built")
+
+        rng = np.random.default_rng(0)
+        stats = MarketStatistics(
+            prices=np.exp(3.0 * rng.standard_normal((30, 4))),
+            quantities=np.exp(3.0 * rng.standard_normal((30, 4))),
+        )
+        monkeypatch.setattr(collective, "build_collective_program", refused)
+        res = check_collective(stats, 4)
+        assert res.status is Status.FEASIBLE
+        assert res.decision.detail == "collinear split for k >= n"
+        assert verify_allocation(stats, res.allocation)
+        assert np.all(res.allocation.residuals <= 1e-6 * stats.quantities)
+
+    def test_multipliers_beyond_float64_are_undecided(self):
+        # k = n = 3 on data whose multiplier ratios near 1e400 underflow
+        res = check_collective(extreme_scales(), 3)
+        assert res.status is Status.UNDECIDED
+        assert res.decision.detail == "collinear split for k >= n does not verify in float64"
+
+    def test_subnormal_bundle_is_undecided_not_raised(self):
+        # for k > n a consumer's bundle is halved, and 5e-324 / 2 rounds to 0
+        stats = MarketStatistics(prices=[[1.0], [2.0]], quantities=[[5e-324], [1.0]])
+        res = check_collective(stats, 3)
+        assert res.status is Status.UNDECIDED
+        assert res.allocation is None
 
 
 class TestSplitStep:
