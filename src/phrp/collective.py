@@ -383,7 +383,8 @@ def check_collective(
     k = 1 delegates to the exact graph test.  For k >= 2 an optional
     ``hint`` allocation that passes direct verification, with every residual
     below _HINT_RESIDUAL times the observed quantity, is accepted first;
-    then the even split of a single-consumer rationalizable aggregate.  For
+    then the even split of a single-consumer rationalizable aggregate,
+    skipped where Q / k underflows to 0 in some entry.  For
     k >= n goods :func:`_collinear_split` decides next (UNDECIDED where it
     does not verify); for k < n the witness search (:func:`_witness_search`)
     alternates an LP for the multipliers with an LP for the split from each
@@ -419,10 +420,11 @@ def check_collective(
                 allocation=hint,
             )
     aggregate = check_harp(stats)
-    if aggregate.status is Status.FEASIBLE:
-        Q = stats.quantities
+    Q = stats.quantities
+    share = Q / k
+    if aggregate.status is Status.FEASIBLE and np.all(share > 0.0):  # Q / k may underflow
         alloc = AllocationSolution(
-            sub_quantities=np.repeat(Q[None, :, :] / k, k, axis=0),
+            sub_quantities=np.repeat(share[None, :, :], k, axis=0),
             sub_lambdas=np.repeat(aggregate.certificate.lambdas[None, :], k, axis=0),
             residuals=np.zeros_like(Q),
             totals=Q,

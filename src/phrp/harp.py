@@ -11,12 +11,21 @@ edge tau -> t carries weight ``log(p^tau . q^t) - log(p^t . q^t)``.  A
 label-correcting sweep (Bellman-Ford) either produces shortest-path
 potentials, which exponentiate into a certificate, or a negative cycle,
 whose expenditure-ratio product below 1 witnesses the violation.
+
+The cross expenditures ``p^tau . q^t`` are the entries of the rank-n matrix
+P Q^T, and the graph is kept as those two factors.  Beyond ``BLOCK_ROWS``
+periods the relaxation ranks candidates by products of the factors, and the
+certificate check takes the T x T products, a block of rows at a time, so a
+decision holds O(T n) plus one (BLOCK_ROWS, T) block, never a T x T array.
+Up to ``BLOCK_ROWS`` periods the log weights are built once, no larger than
+that block, and relaxed densely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,20 +40,51 @@ class InvalidCertificateError(Exception):
 
 @dataclass(frozen=True)
 class CrossGraph:
-    """Complete weighted digraph over the T observation periods.
+    """Complete weighted digraph over the T observation periods, kept as factors.
+
+    Edge tau -> t weighs ``log(p^tau . q^t) - log(p^t . q^t)``.  No T x T
+    array is stored: :func:`phrp._kernels.bf_rounds` ranks each round's
+    candidates by products of the factors and takes the winners' weights
+    from their own dot products, and :meth:`log_weights` builds the matrix
+    for small graphs.  Every dot product that enters a weight is
+    taken by ``np.einsum``, whose ``"ti,ti->t"`` and ``"ti,ai->ta"`` forms
+    agree bit for bit, so a cycle through duplicated periods weighs exactly
+    0 and the diagonal is exactly 0.
 
     Attributes:
-        weights: (T, T) matrix; ``weights[tau, t]`` is the edge weight
-            ``log(p^tau . q^t) - log(p^t . q^t)``.  The diagonal is zero.
-            It is F-ordered: ``weights.T`` is the C-contiguous incoming-edge
-            array, whose row t holds the weights of the edges entering t.
+        prices: (T, n) price rows p^tau.
+        quantities: (T, n) quantity rows q^t.
     """
 
-    weights: NDArray[np.float64]
+    prices: NDArray[np.float64]
+    quantities: NDArray[np.float64]
 
     @property
     def nodes(self) -> int:
-        return self.weights.shape[0]
+        return self.prices.shape[0]
+
+    @cached_property
+    def log_own(self) -> NDArray[np.float64]:
+        """(T,) ``log(p^t . q^t)``; -inf or +inf where it left float64."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.einsum("ti,ti->t", self.prices, self.quantities))
+
+    def log_weights(self) -> NDArray[np.float64]:
+        """The (T, T) weight matrix, F-ordered, built from the factors.
+
+        Raises:
+            FloatRangeError: some cross expenditure is not finite and
+                strictly positive, so it has no log weight.
+        """
+        # into[t, tau] = q^t . p^tau; einsum sets no floating-point warnings
+        into = np.einsum("ti,ai->ta", self.quantities, self.prices)
+        if not 0.0 < into.min() <= into.max() < np.inf:
+            raise _kernels.FloatRangeError("cross expenditures overflow or underflow")
+        np.log(into, out=into)
+        diagonal = into.reshape(-1)[:: self.nodes + 1]  # log_own, bit for bit
+        into -= diagonal.copy()[:, None]
+        diagonal[:] = 0.0
+        return into.T
 
 
 @dataclass(frozen=True)
@@ -91,7 +131,7 @@ class ViolationCycle:
             raise ValueError("cycle periods must be distinct")
         if not self.cycle_ratio < 1.0:
             raise ValueError("a violation cycle must have ratio < 1")
-        if abs(np.log(self.cycle_ratio) - self.log_weight) > 1e-9:
+        if abs(math.log(self.cycle_ratio) - self.log_weight) > 1e-9:
             raise ValueError("log(cycle_ratio) does not match log_weight")
 
 
@@ -145,28 +185,16 @@ class HarpResult:
         return self.decision.status
 
 
-def build_cross_graph(stats: MarketStatistics) -> CrossGraph | None:
+def build_cross_graph(stats: MarketStatistics) -> CrossGraph:
     """Cross-expenditure log-ratio graph of the difference-constraint system.
 
-    The incoming-edge array ``into[t, tau] = q^t . p^tau`` comes from one
-    C-contiguous product; its logs are taken in place, and each row t is
-    reduced by its own diagonal entry ``log(p^t . q^t)``.  ``weights`` is the
-    F-ordered view ``into.T``, so ``weights[tau, t]`` keeps its meaning while
-    the relaxation rounds read ``into`` row by row without a copy.  The
-    graph is the only T x T array built.
-
-    Returns None, before any log is taken, when some cross expenditure
-    over- or underflowed: such an entry has no log weight.
+    Holds the statistics' prices and quantities, so it costs nothing; the
+    own expenditures' logs are taken on first use.  Whether every cross
+    expenditure is finite and positive is checked by the relaxation's first
+    round, or by :meth:`CrossGraph.log_weights`, which multiply them all
+    anyway.
     """
-    with np.errstate(over="ignore"):
-        into = stats.quantities @ stats.prices.T
-    if not 0.0 < into.min() <= into.max() < np.inf:
-        return None
-    np.log(into, out=into)
-    into -= into.diagonal().copy()[:, None]
-    np.fill_diagonal(into, 0.0)
-    into.setflags(write=False)
-    return CrossGraph(weights=into.T)
+    return CrossGraph(prices=stats.prices, quantities=stats.quantities)
 
 
 def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -174,17 +202,22 @@ def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
     return e / e.sum()
 
 
-def _cycle_stats(
-    cycle: list[int], weights: NDArray[np.float64], stats: MarketStatistics
-) -> tuple[float, float]:
+def _cycle_stats(cycle: list[int], graph: CrossGraph) -> tuple[float, float]:
+    # from the cycle's own dot products (p^a . q^b) / (p^b . q^b), taken by the
+    # graph's formula, so a cycle through duplicated periods weighs exactly 0
     nxt = cycle[1:] + cycle[:1]
-    log_weight = float(sum(weights[a, b] for a, b in zip(cycle, nxt)))
-    # from the cycle's own dot products (p^a . q^b) / (p^b . q^b), not from the graph
-    p, q = stats.prices, stats.quantities
-    ratio = float(math.prod((p[a] @ q[b]) / (p[b] @ q[b]) for a, b in zip(cycle, nxt)))
+    m = len(cycle)
+    # the cycle's m cross expenditures, then the own ones of its targets
+    p = graph.prices.take(cycle + nxt, axis=0)
+    q = graph.quantities.take(nxt + nxt, axis=0)
+    with np.errstate(all="ignore"):
+        dots = np.einsum("ti,ti->t", p, q)
+        logs = np.log(dots)
+    log_weight = float(sum((logs[:m] - logs[m:]).tolist()))
+    ratio = float(math.prod((dots[:m] / dots[m:]).tolist()))
     # long cycles over extreme data can under/overflow the direct product;
     # fall back to the (clamped) log form so the pair stays consistent
-    if not 0.0 < ratio < np.inf or abs(np.log(ratio) - log_weight) > 5e-10:
+    if not 0.0 < ratio < np.inf or abs(math.log(ratio) - log_weight) > 5e-10:
         log_weight = max(log_weight, -700.0)
         ratio = float(np.exp(log_weight))
     return log_weight, ratio
@@ -195,13 +228,15 @@ def _parent_cycle(parent: NDArray[np.int64]) -> list[int] | None:
     T = parent.size
     # roots point at an extra sink node T; after T or more pointer jumps every
     # node sits either at the sink or on a cycle, and every cycle node is hit
-    jump = np.append(np.where(parent < 0, T, parent), T)
+    jump = np.empty(T + 1, dtype=np.int64)
+    jump[:T] = parent
+    jump[T] = T
+    jump[jump < 0] = T
     for _ in range(T.bit_length()):
         jump = jump[jump]
-    on_cycle = jump[:T][jump[:T] < T]
-    if not on_cycle.size:
+    start = int(jump[:T].min())  # the smallest cycle node, or the sink
+    if start == T:
         return None
-    start = int(on_cycle.min())
     backward = [start]
     x = int(parent[start])
     while x != start:
@@ -215,7 +250,8 @@ def shortest_potentials(
 ) -> tuple[NDArray[np.float64] | None, list[int] | None]:
     """Solve ``d_t - d_tau <= w[tau, t]`` or find a negative cycle.
 
-    ``weights`` is a (T, T) matrix whose diagonal is 0 or +inf.  Jacobi
+    ``weights`` is a (T, T) matrix whose diagonal is 0 or +inf, or a
+    :class:`CrossGraph`.  Jacobi
     rounds start from the all-zero labels (a virtual source); after each
     round that still improves, the parent graph is searched for a cycle.
 
@@ -226,15 +262,26 @@ def shortest_potentials(
     is always returned.
 
     Each round after the first relaxes only the edges out of the nodes the
-    round before improved, a mask the kernel leaves for the next call.  The
-    labels, parents and cycles are those of relaxing every edge in every
-    round.
+    round before improved, a mask the kernel leaves for the next call.  On
+    dense weights the labels, parents and cycles are those of relaxing every
+    edge in every round.
 
-    ``weights`` is made F-ordered once, so the rounds read its incoming-edge
-    rows in place; the graphs of :func:`build_cross_graph` already are.
+    A dense ``weights`` is made F-ordered once, so the rounds read its
+    incoming-edge rows in place.  A :class:`CrossGraph` of at most
+    ``BLOCK_ROWS`` nodes is materialised once by
+    :meth:`CrossGraph.log_weights`, no larger than the factored rounds'
+    scratch block, since a dense round takes fewer numpy calls; a larger one
+    is relaxed on its factors, whose labels match the dense rounds' to
+    rounding.  Either way a cross expenditure that is not finite and
+    positive raises :class:`phrp._kernels.FloatRangeError`.
     """
-    weights = np.asfortranarray(weights)
-    T = weights.shape[0]
+    if isinstance(weights, CrossGraph):
+        T = weights.nodes
+        if T <= _kernels.BLOCK_ROWS:
+            weights = weights.log_weights()
+    else:
+        weights = np.asfortranarray(weights)
+        T = weights.shape[0]
     dist = np.zeros(T)
     parent = np.full(T, -1, dtype=np.int64)
     frontier = np.ones(T, dtype=bool)
@@ -271,15 +318,13 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             certificate=cert,
         )
     graph = build_cross_graph(stats)
-    if graph is None:
+    try:
+        labels, cycle = shortest_potentials(graph)
+    except _kernels.FloatRangeError as exc:
         # a cross expenditure that over- or underflowed carries no log weight,
         # so neither a certificate nor a cycle ratio over it can be trusted
-        return HarpResult(
-            Decision(Status.UNDECIDED, detail="cross expenditures overflow or underflow")
-        )
-    labels, cycle = shortest_potentials(graph.weights)
+        return HarpResult(Decision(Status.UNDECIDED, detail=str(exc)))
     if cycle is None:
-        del graph  # verify_certificate builds its own cross expenditures
         lambdas = _softmax(labels)
         if not lambdas.min() > 0.0:  # labels more than ~745 apart underflow
             return HarpResult(Decision(Status.UNDECIDED, detail="multipliers span beyond float64"))
@@ -292,7 +337,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             Decision(Status.FEASIBLE, detail="shortest-path potentials found"),
             certificate=cert,
         )
-    log_weight, ratio = _cycle_stats(cycle, graph.weights, stats)
+    log_weight, ratio = _cycle_stats(cycle, graph)
     if not (log_weight < 0.0 and ratio < 1.0):
         return HarpResult(
             Decision(
@@ -330,22 +375,37 @@ def verify_certificate(
     Also requires the multipliers to be strictly positive and to sum to 1
     within 1e-9, and every cross expenditure to be finite and strictly
     positive: after overflow to inf or underflow to 0, ``inf <= inf`` and
-    ``0 <= 0`` would pass.
+    ``0 <= 0`` would pass.  The products ``p^tau . q^t`` are taken
+    ``BLOCK_ROWS`` rows of tau at a time into one scratch block, with a
+    running minimum over tau of ``lam_tau p^tau . q^t`` per period t, so no
+    T x T array is built.
     """
     lam = cert.lambdas if isinstance(cert, AfriatCertificate) else np.asarray(cert, float)
     if lam.ndim != 1 or lam.size != stats.periods:
         return False
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
+    if not 0.0 < lam.min() <= lam.max() < np.inf:  # NaN fails too
         return False
     if abs(float(lam.sum()) - 1.0) > 1e-9:
         return False
-    cross = stats.cross_expenditures()
-    if not 0.0 < cross.min() <= cross.max() < np.inf:
-        return False
-    own = lam * np.diag(cross)  # own[t] = lam_t p^t.q^t
-    cross *= lam[:, None]  # in place: cross is a fresh array, and T x T is large
-    cheapest = cross.min(axis=0)  # min_tau lam_tau p^tau.q^t
-    return bool(np.all(own <= cheapest * (1.0 + tol)))
+    p, q = stats.prices, stats.quantities
+    T = lam.size
+    scratch = np.empty(min(_kernels.BLOCK_ROWS, T) * T)
+    own = np.empty(T)  # lam_t p^t.q^t
+    cheapest = np.empty(T)  # min_tau lam_tau p^tau.q^t
+    with np.errstate(over="ignore"):
+        for lo in range(0, T, _kernels.BLOCK_ROWS):
+            rows = min(_kernels.BLOCK_ROWS, T - lo)
+            cross = scratch[: rows * T].reshape(rows, T)
+            np.matmul(p[lo : lo + rows], q.T, out=cross)
+            if not 0.0 < cross.min() <= cross.max() < np.inf:
+                return False
+            cross *= lam[lo : lo + rows, None]
+            own[lo : lo + rows] = cross.reshape(-1)[lo :: T + 1]  # the entries (t, t)
+            if lo:
+                np.minimum(cheapest, cross.min(axis=0), out=cheapest)
+            else:
+                cross.min(axis=0, out=cheapest)
+    return bool((own <= cheapest * (1.0 + tol)).all())
 
 
 def recover_utility(

@@ -172,6 +172,18 @@ class TestCollectiveCommands:
         assert report["tolerances"] == {"tol_reject": 1e-4}
         assert report["witness"]["k"] == 4
 
+    def test_underflowing_even_split_is_no_internal_error(self, tmp_path):
+        # Q / 2 rounds the quantity 5e-324 to 0; that must not raise (exit 12)
+        stats = MarketStatistics(
+            prices=[[1.0, 1.0], [1.0, 2.0]], quantities=[[5e-324, 1.0], [1.0, 1.0]]
+        )
+        csv = tmp_path / "subnormal.csv"
+        save_statistics(stats, csv)
+        code, report = _run(tmp_path, ["collective", "--input", str(csv), "--k", "2"])
+        assert code != 12
+        _validate(report)
+        assert report["status"] in ("FEASIBLE", "UNDECIDED")
+
     def test_class_number_at_most_goods_exit_0(self, tmp_path):
         # k = n is always accepted, so class-number finds a value within n
         csv = _lognormal_csv(tmp_path, goods=2)

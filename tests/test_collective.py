@@ -336,6 +336,19 @@ class TestCollinearSplit:
         assert res.status is Status.UNDECIDED
         assert res.decision.detail == "collinear split for k >= n does not verify in float64"
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_underflowing_even_split_is_skipped(self, k):
+        # the aggregate is rationalizable, but Q / k rounds 5e-324 to 0, so the
+        # even split has no positive bundle and the next step decides
+        stats = MarketStatistics(
+            prices=[[1.0, 1.0], [1.0, 2.0]], quantities=[[5e-324, 1.0], [1.0, 1.0]]
+        )
+        assert check_harp(stats).status is Status.FEASIBLE
+        res = check_collective(stats, k)
+        assert res.status in (Status.FEASIBLE, Status.UNDECIDED)
+        if res.allocation is not None:
+            assert verify_allocation(stats, res.allocation)
+
     def test_subnormal_bundle_is_undecided_not_raised(self):
         # for k > n a consumer's bundle is halved, and 5e-324 / 2 rounds to 0
         stats = MarketStatistics(prices=[[1.0], [2.0]], quantities=[[5e-324], [1.0]])

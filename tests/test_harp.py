@@ -13,6 +13,7 @@ from phrp.harp import (
     AfriatCertificate,
     InvalidCertificateError,
     PiecewiseLinearUtility,
+    _cycle_stats,
     _parent_cycle,
     build_cross_graph,
     check_harp,
@@ -23,27 +24,40 @@ from phrp.harp import (
 from phrp.model import MarketStatistics, Status
 
 
+def _weights(graph):
+    """The (T, T) weights ``log(p^tau . q^t) - log(p^t . q^t)``, from the factors."""
+    cross = graph.prices @ graph.quantities.T
+    weights = np.log(cross) - np.log(np.diag(cross))[None, :]
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
 class TestCrossGraph:
     def test_underflowed_cross_expenditure_does_not_warn(self):
-        # p^0 . q^1 underflows to 0: it has no log weight, so no graph is built
-        # and no warning is printed
+        # p^0 . q^1 underflows to 0: it has no log weight, so the first round
+        # stops, and no warning is printed
         stats = MarketStatistics(
             prices=[[1e-200, 1e-202], [0.01, 1.0]],
             quantities=[[0.01, 1.0], [1e-200, 1e-202]],
         )
+        start = (np.zeros(2), np.full(2, -1, dtype=np.int64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graph = build_cross_graph(stats)
+            with pytest.raises(_kernels.FloatRangeError, match="overflow or underflow"):
+                _kernels.bf_rounds(graph, *start, 1)
+            with pytest.raises(_kernels.FloatRangeError, match="overflow or underflow"):
+                graph.log_weights()
             result = check_harp(stats)
-        assert graph is None
         assert result.status is Status.UNDECIDED
         assert result.decision.detail == "cross expenditures overflow or underflow"
 
     def test_weights_example(self, feasible2):
         graph = build_cross_graph(feasible2)
         assert graph.nodes == 2
-        assert graph.weights[1, 0] == pytest.approx(np.log(1.5), abs=1e-15)
-        assert graph.weights[0, 1] == pytest.approx(np.log(0.75), abs=1e-15)
+        for weights in (_weights(graph), graph.log_weights()):
+            assert weights[1, 0] == pytest.approx(np.log(1.5), abs=1e-15)
+            assert weights[0, 1] == pytest.approx(np.log(0.75), abs=1e-15)
 
     def test_identical_prices_zero_weights(self):
         rng = np.random.default_rng(3)
@@ -52,13 +66,14 @@ class TestCrossGraph:
             quantities=rng.uniform(0.5, 2, (4, 3)),
         )
         graph = build_cross_graph(stats)
-        np.testing.assert_allclose(graph.weights, 0.0, atol=1e-12)
+        np.testing.assert_allclose(_weights(graph), 0.0, atol=1e-12)
+        np.testing.assert_allclose(graph.log_weights(), 0.0, atol=1e-12)
 
     def test_single_period(self):
         stats = MarketStatistics(prices=[[1.0, 2.0]], quantities=[[1.0, 1.0]])
         graph = build_cross_graph(stats)
-        assert graph.weights.shape == (1, 1)
-        assert graph.weights[0, 0] == 0.0
+        assert graph.nodes == 1
+        assert graph.log_weights().tolist() == [[0.0]]
 
     @pytest.mark.parametrize("T", [1, 2, 127, 128, 129, 600])
     def test_incoming_edge_layout(self, T):
@@ -70,12 +85,39 @@ class TestCrossGraph:
             quantities=np.exp(rng.uniform(-7, 7, (T, 4))),
         )
         graph = build_cross_graph(stats)
-        # into[t, tau] = log(q^t . p^tau) - log(q^t . p^t), from the same product
-        logs = np.log(stats.quantities @ stats.prices.T)
-        want = logs - np.diag(logs)[:, None]
-        np.fill_diagonal(want, 0.0)
-        assert graph.weights.T.flags.c_contiguous
-        assert graph.weights.T.tobytes() == want.tobytes()
+        weights = graph.log_weights()
+        into = weights.T  # row t holds the weights of the edges entering t
+        assert into.flags.c_contiguous
+        np.testing.assert_allclose(weights, _weights(graph), rtol=0.0, atol=1e-12)
+        # each incoming-edge row is log(p^tau . q^t) - log_own[t], every dot
+        # product taken by the kernel's row formula, bit for bit
+        p, q = stats.prices, stats.quantities
+        for t in rng.choice(T, min(T, 5), replace=False):
+            row = np.log(np.einsum("ti,ti->t", p, np.tile(q[t], (T, 1)))) - graph.log_own[t]
+            row[t] = 0.0
+            assert into[t].tobytes() == row.tobytes()
+        assert graph.log_own.tobytes() == np.log(np.einsum("ti,ti->t", p, q)).tobytes()
+
+    @pytest.mark.parametrize("f", [0.37, 1.0, 2.5, 1e3])
+    def test_duplicated_period_two_cycle_weighs_zero(self, f):
+        # prices times f with the same quantities: the 2-cycle's ratio is 1,
+        # and every dot product on it is taken by one formula, so its weight
+        # is exactly 0.0 in the graph, in the cycle statistics and in the labels
+        rng = np.random.default_rng(int(f * 100))
+        p, q = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+        stats = MarketStatistics(prices=[p, p * f], quantities=[q, q])
+        graph = build_cross_graph(stats)
+        weights = graph.log_weights()
+        assert weights[0, 1] + weights[1, 0] == 0.0
+        assert _cycle_stats([0, 1], graph)[0] == 0.0
+        dist, _, _, converged = _kernels.bf_rounds(
+            graph, np.zeros(2), np.full(2, -1, dtype=np.int64), 3
+        )
+        assert converged
+        assert dist.tolist() == [min(weights[1, 0], 0.0), min(weights[0, 1], 0.0)]
+        result = check_harp(stats)
+        assert result.status is Status.FEASIBLE
+        assert verify_certificate(stats, result.certificate)
 
 
 class TestCheckHarp:
@@ -86,10 +128,10 @@ class TestCheckHarp:
         # the hand-derived multipliers are one valid certificate
         assert verify_certificate(feasible2, np.array([4.0 / 7.0, 3.0 / 7.0]))
 
-    def test_peak_memory_is_one_square_array(self):
-        # the cross graph is the only T x T array alive during relaxation, and
-        # it is released before verify_certificate builds its own
-        T = 1000
+    def test_peak_memory_below_a_quarter_square(self):
+        # no T x T array is built: the relaxation and the certificate check
+        # hold one (BLOCK_ROWS, T) scratch block at a time
+        T = 2000
         stats = make_cd(2, periods=T, goods=4)
         tracemalloc.start()
         try:
@@ -98,7 +140,7 @@ class TestCheckHarp:
         finally:
             tracemalloc.stop()
         assert result.status is Status.FEASIBLE
-        assert peak < 1.5 * 8 * T * T
+        assert peak < 8 * T * T / 4
 
     def test_infeasible_example(self, infeasible2):
         result = check_harp(infeasible2)
@@ -211,8 +253,12 @@ def _uniform(rng, periods, goods):
 
 
 def _labels_or_cycle(weights):
-    """Run the routine and check that it returned exactly one valid witness."""
+    """Run the routine and check that it returned exactly one valid witness.
+
+    A cross graph is checked against its materialised weights."""
     labels, cycle = shortest_potentials(weights)
+    if not isinstance(weights, np.ndarray):
+        weights = weights.log_weights()
     T = weights.shape[0]
     if cycle is None:
         assert labels.shape == (T,)
@@ -291,16 +337,35 @@ class TestShortestPotentials:
     def test_tight_single_good_graphs(self, periods):
         rng = np.random.default_rng(periods)
         for _ in range(20):
-            _labels_or_cycle(build_cross_graph(_single_good(rng, periods)).weights)
+            _labels_or_cycle(build_cross_graph(_single_good(rng, periods)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_cross_graphs(self, seed):
         rng = np.random.default_rng(100 + seed)
         stats = _uniform(rng, int(rng.integers(2, 60)), int(rng.integers(2, 6)))
         graph = build_cross_graph(stats)
-        _, cycle = _labels_or_cycle(graph.weights)
+        _, cycle = _labels_or_cycle(graph)
         if cycle is not None:
-            assert _cycle_weight(graph.weights, cycle) < 0.0
+            assert _cycle_weight(graph.log_weights(), cycle) < 0.0
+
+    @pytest.mark.parametrize("T", [129, 389])
+    @pytest.mark.parametrize("kind", ["cobb-douglas", "uniform"])
+    def test_factored_graphs_match_their_weights(self, T, kind):
+        # beyond BLOCK_ROWS the rounds run on the factors; they reach the
+        # outcome of the materialised weights, with labels within rounding
+        rng = np.random.default_rng(T)
+        stats = make_cd(T, periods=T, goods=5) if kind == "cobb-douglas" else _uniform(rng, T, 5)
+        graph = build_cross_graph(stats)
+        weights = graph.log_weights()
+        labels, cycle = shortest_potentials(graph)
+        want_labels, want_cycle = shortest_potentials(weights)
+        assert (cycle is None) == (want_cycle is None) == (kind == "cobb-douglas")
+        if cycle is None:
+            np.testing.assert_allclose(labels, want_labels, rtol=0.0, atol=1e-12)
+            assert np.all(labels[:, None] + weights >= labels[None, :] - 1e-12)
+        else:
+            log_weight, ratio = _cycle_stats(cycle, graph)
+            assert log_weight < 0.0 and ratio < 1.0
 
     @pytest.mark.parametrize("diagonal", [0.0, np.inf])
     @pytest.mark.parametrize("seed", range(6))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from phrp import _kernels
+from phrp.harp import CrossGraph, _parent_cycle
 
 
 def _random_graph(seed, T, diagonal=np.inf):
@@ -182,6 +185,91 @@ class TestBfRounds:
         assert (rounds, converged) == (1, True)
         np.testing.assert_array_equal(dist, start[0])
         np.testing.assert_array_equal(parent, start[1])
+
+
+def _factors(seed, T, kind, goods=4):
+    """Random positive factors: Cobb-Douglas bundles (every cycle ratio at
+    least 1, so the rounds settle) or uniform ones (negative cycles)."""
+    rng = np.random.default_rng(seed)
+    prices = np.exp(rng.uniform(-2.0, 2.0, (T, goods)))
+    if kind == "cobb-douglas":
+        shares = rng.uniform(0.5, 1.5, goods)
+        budgets = np.exp(rng.uniform(-1.0, 1.0, (T, 1)))
+        quantities = shares / shares.sum() * budgets / prices
+    else:
+        quantities = np.exp(rng.uniform(-2.0, 2.0, (T, goods)))
+    return CrossGraph(prices=prices, quantities=quantities)
+
+
+FACTORED_SIZES = [1, 2, 127, 128, 129, 389]
+
+
+class TestFactoredRounds:
+    @pytest.mark.parametrize("T", FACTORED_SIZES)
+    @pytest.mark.parametrize("kind", ["cobb-douglas", "uniform"])
+    def test_factored_rounds_match_whole_matrix(self, T, kind):
+        # the factored rounds reach the outcome of the reference rounds on the
+        # materialised log weights: settled with the same labels, or a cycle
+        graph = _factors(T, T, kind)
+        weights = graph.log_weights()
+        start = (np.zeros(T), np.full(T, -1, dtype=np.int64))
+        want = _whole_matrix_rounds(weights, *start, T + 1)
+        got = _kernels.bf_rounds(graph, *start, T + 1)
+        assert got[3] == want[3]
+        if kind == "cobb-douglas":
+            assert got[3]
+        if got[3]:
+            np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+            return
+        # round T + 1 still improved, so the parent graph holds a cycle whose
+        # ratio is below 1 by its own dot products
+        cycle = _parent_cycle(got[1])
+        assert cycle is not None
+        nxt = cycle[1:] + cycle[:1]
+        p, q = graph.prices, graph.quantities
+        ratio = np.prod([(p[a] @ q[b]) / (p[b] @ q[b]) for a, b in zip(cycle, nxt)])
+        assert ratio < 1.0
+
+    @pytest.mark.parametrize("T", FACTORED_SIZES)
+    @pytest.mark.parametrize("kind", ["cobb-douglas", "uniform"])
+    def test_chained_rounds_match_one_call(self, T, kind):
+        # one-round calls chained through the kernel's own frontier mask give
+        # the bytes of one multi-round call
+        graph = _factors(1000 + T, T, kind)
+        start = (np.zeros(T), np.full(T, -1, dtype=np.int64))
+        whole = _kernels.bf_rounds(graph, *start, T + 1)
+        got, frontier, rounds = start, np.ones(T, dtype=bool), 0
+        for _ in range(T + 1):
+            got = _kernels.bf_rounds(graph, *got[:2], 1, frontier)
+            rounds += got[2]
+            if got[3]:
+                break
+        assert got[0].tobytes() == whole[0].tobytes()
+        assert got[1].tobytes() == whole[1].tobytes()
+        assert (rounds, got[3]) == whole[2:]
+
+    @pytest.mark.parametrize("T", [4, 300])
+    def test_overflowed_cross_expenditure_raises(self, T):
+        # the first round multiplies every cross expenditure: one past float64
+        # stops it, without a warning
+        graph = _factors(T, T, "uniform")
+        prices = graph.prices.copy()
+        prices[T // 2] *= 1e307
+        start = (np.zeros(T), np.full(T, -1, dtype=np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(_kernels.FloatRangeError, match="overflow or underflow"):
+                _kernels.bf_rounds(CrossGraph(prices, graph.quantities), *start, 1)
+
+    def test_subnormal_winner_raises(self):
+        # p^1 . q^t = 1e-310 is subnormal: it passes the virtual-source round
+        # (labels all 0), but from any other labels it wins with a product
+        # below the smallest normal float, whose ranking cannot be trusted
+        graph = CrossGraph(prices=np.array([[1.0], [1e-310], [1.0]]), quantities=np.ones((3, 1)))
+        parent = np.full(3, -1, dtype=np.int64)
+        assert not _kernels.bf_rounds(graph, np.zeros(3), parent, 1)[3]
+        with pytest.raises(_kernels.FloatRangeError, match="scaled cross expenditures underflow"):
+            _kernels.bf_rounds(graph, np.array([0.0, -1.0, 0.0]), parent, 1)
 
 
 def test_segment_logsumexp_reference():
