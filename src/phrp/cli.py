@@ -58,9 +58,6 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-_COL_TOL_REJECT = "k < n only: after a search miss, a certified slack bound >= this rejects"
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phrp", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,12 +80,10 @@ def _build_parser() -> _Parser:
     p_col = sub.add_parser("collective", help="k-consumer rationalizability")
     add_io(p_col)
     p_col.add_argument("--k", type=int, required=True)
-    p_col.add_argument("--tol-reject", type=float, default=1e-4, help=_COL_TOL_REJECT)
 
     p_cn = sub.add_parser("class-number", help="minimal accepted consumer count")
     add_io(p_cn)
     p_cn.add_argument("--k-max", type=int, default=None)
-    p_cn.add_argument("--tol-reject", type=float, default=1e-4, help=_COL_TOL_REJECT)
 
     p_gen = sub.add_parser("gen", help="write synthetic ground-truth data")
     p_gen.add_argument(
@@ -153,6 +148,8 @@ def _parse_y_cols(spec: str, goods: int) -> list[int]:
 
 
 def _run_harp(args) -> tuple[dict, int]:
+    if not 0.0 < args.tol <= 1e-2:  # also rejects nan
+        raise UsageError(f"--tol must lie in (0, 1e-2], got {args.tol}")
     stats = model.load_statistics(args.input)
     result = harp.check_harp(stats, tol=args.tol)
     report = {
@@ -160,7 +157,6 @@ def _run_harp(args) -> tuple[dict, int]:
         "input_digest": _digest(Path(args.input)),
         "status": result.status.value,
         "detail": result.decision.detail,
-        "optimum": None,
         "tolerances": {"tol": args.tol},
         "certificate": (
             {"lambdas": result.certificate.lambdas.tolist()}
@@ -182,7 +178,6 @@ def _run_separability(args) -> tuple[dict, int]:
         "input_digest": _digest(Path(args.input)),
         "status": result.status.value,
         "detail": result.decision.detail,
-        "optimum": result.decision.optimum,
         "tolerances": {},
         "y_cols": [c + 1 for c in y_cols],
         "lambdas": result.lambdas.tolist() if result.lambdas is not None else None,
@@ -196,14 +191,13 @@ def _run_collective(args) -> tuple[dict, int]:
     stats = model.load_statistics(args.input)
     if args.k < 1:
         raise UsageError("--k must be at least 1")
-    result = collective_mod.check_collective(stats, args.k, tol_reject=args.tol_reject)
+    result = collective_mod.check_collective(stats, args.k)
     report = {
         "command": "collective",
         "input_digest": _digest(Path(args.input)),
         "status": result.status.value,
         "detail": result.decision.detail,
-        "optimum": result.decision.optimum,
-        "tolerances": {"tol_reject": args.tol_reject},
+        "tolerances": {},
         "k": args.k,
         "witness": _witness_json(result.allocation),
     }
@@ -214,14 +208,13 @@ def _run_class_number(args) -> tuple[dict, int]:
     stats = model.load_statistics(args.input)
     if args.k_max is not None and args.k_max < 1:
         raise UsageError("--k-max must be at least 1")
-    result = collective_mod.class_number(stats, k_max=args.k_max, tol_reject=args.tol_reject)
+    result = collective_mod.class_number(stats, k_max=args.k_max)
     report = {
         "command": "class-number",
         "input_digest": _digest(Path(args.input)),
         "status": result.status,
         "detail": f"certified lower bound {result.certified_lower_bound}",
-        "optimum": None,
-        "tolerances": {"tol_reject": args.tol_reject},
+        "tolerances": {},
         "value": result.value,
         "certified_lower_bound": result.certified_lower_bound,
         "per_k": {str(k): d.status.value for k, d in result.per_k.items()},
@@ -271,6 +264,8 @@ def _run_gen(args) -> tuple[dict, int]:
         )
         stats = part.base
     else:
+        if args.goods < 1:
+            raise UsageError("--goods must be at least 1")
         if args.consumers < 1:
             raise UsageError("--consumers must be at least 1")
         specs = []
@@ -296,7 +291,6 @@ def _run_gen(args) -> tuple[dict, int]:
         "input_digest": _digest(Path(args.out)),
         "status": "OK",
         "detail": f"wrote {stats.periods} periods x {stats.goods} goods",
-        "optimum": None,
         "tolerances": {},
         "family": args.family,
         "seed": args.seed,

@@ -5,22 +5,19 @@ strictly positive per-consumer demands, each PH-rationalizable on its own,
 that sum componentwise to the data.  For k = 1 this is the exact
 graph-based test.  For k >= n goods the answer is always yes, shown by a
 closed-form split with collinear bundles per consumer.  For 2 <= k < n a
-witness search runs first.  Under PH each consumer's inequalities
+witness search runs.  Under PH each consumer's inequalities
 lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t are linear in the split
 once the multipliers are fixed, and fix the multipliers by a min-max-cycle
 LP once the split is fixed; the search alternates these two exact LP steps
 from fixed share patterns.  Every split
 it reaches is rescaled onto exact balance and validated per consumer with
 the exact test, so a FEASIBLE verdict ships a checkable split whatever the
-LPs returned.  Only when the search misses is the log-domain slack program
-over per-consumer multipliers and quantity logs solved: a certified bound
-of at least ``tol_reject`` on its optimum rejects, and anything else is
-UNDECIDED.
+LPs returned.  A search miss is UNDECIDED, since a miss of a local search
+proves nothing; nothing here rejects k >= 2.
 
-The slack program's split variables live in log space and the split LP
-leaves every consumer a share of every good, so splits where a consumer
-buys none of some good are unreachable; reported decisions are therefore
-about strictly positive allocations (interior splits).
+The split LP leaves every consumer a share of every good, so splits where
+a consumer buys none of some good are unreachable; reported decisions are
+therefore about strictly positive allocations (interior splits).
 """
 
 from __future__ import annotations
@@ -120,7 +117,12 @@ class ClassNumberResult:
 
 
 def build_collective_program(stats: MarketStatistics, k: int) -> convex.LogConvexProgram:
-    """Slack program deciding k-consumer PH-rationalizability.
+    """Log-domain slack program over a k-consumer split; no decider solves it.
+
+    Its minimum is 0 for any data and any k: the balance is an inequality,
+    so small collinear bundles per consumer with every slack 0 satisfy each
+    row with room to spare.  A bound on its objective therefore rejects
+    nothing; the program stays as a subject for the barrier solver's checks.
 
     Variables: per-consumer log multipliers, per-consumer log quantities, and
     one nonnegative slack per (period, good) absorbing the unallocated part
@@ -375,7 +377,6 @@ def _collinear_split(stats: MarketStatistics, k: int) -> AllocationSolution | No
 def check_collective(
     stats: MarketStatistics,
     k: int,
-    tol_reject: float = 1e-4,
     hint: AllocationSolution | None = None,
 ) -> CollectiveResult:
     """Decide k-consumer PH-rationalizability.
@@ -388,18 +389,9 @@ def check_collective(
     k >= n goods :func:`_collinear_split` decides next (UNDECIDED where it
     does not verify); for k < n the witness search (:func:`_witness_search`)
     alternates an LP for the multipliers with an LP for the split from each
-    share start in turn.  Each of these acceptances is FEASIBLE with no
-    optimum, since no program was solved.
-
-    Only after the search misses is the slack program solved, and only to
-    reject: a certified lower bound on its optimum of at least tol_reject
-    gives INFEASIBLE, a stalled phase I gives UNDECIDED with the solver's
-    reason, and any other outcome gives UNDECIDED with the optimum.  The
-    relaxed program is satisfiable for any data, so a failure to find a
-    witness is never INFEASIBLE by itself.
+    share start in turn, and a miss is UNDECIDED.  Only k = 1 can be
+    INFEASIBLE.
     """
-    if not tol_reject > 0.0:
-        raise ValueError("need tol_reject > 0")
     if k == 1:
         res = check_harp(stats)
         alloc = None
@@ -439,7 +431,7 @@ def check_collective(
                 allocation=alloc,
             )
 
-    if k >= stats.goods:  # the program cannot soundly reject here: never solve it
+    if k >= stats.goods:
         alloc = _collinear_split(stats, k)
         if alloc is None:
             detail = "collinear split for k >= n does not verify in float64"
@@ -448,33 +440,11 @@ def check_collective(
         return CollectiveResult(decision=decision, k=k, allocation=alloc)
 
     alloc = _witness_search(stats, k)
-    if alloc is not None:  # no program was solved, so there is no optimum
-        return CollectiveResult(
-            decision=Decision(Status.FEASIBLE, detail="verified witness found"),
-            k=k,
-            allocation=alloc,
-        )
-
-    sol = convex.solve(build_collective_program(stats, k))
-    if sol.stalled is not None:  # phase I never finished: no slack optimum to judge
-        return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=sol.stalled), k=k)
-    if sol.lower_bound is not None and sol.lower_bound >= tol_reject:
-        return CollectiveResult(
-            decision=Decision(
-                Status.INFEASIBLE,
-                optimum=sol.objective,
-                detail=f"slack optimum certified >= {sol.lower_bound:.3e}",
-            ),
-            k=k,
-        )
-    return CollectiveResult(
-        decision=Decision(
-            Status.UNDECIDED,
-            optimum=sol.objective,
-            detail="no verifiable split found within the search budget",
-        ),
-        k=k,
-    )
+    if alloc is None:
+        detail = "no verifiable split found within the search budget"
+        return CollectiveResult(decision=Decision(Status.UNDECIDED, detail=detail), k=k)
+    decision = Decision(Status.FEASIBLE, detail="verified witness found")
+    return CollectiveResult(decision=decision, k=k, allocation=alloc)
 
 
 def split_witness(alloc: AllocationSolution, consumer: int = 0) -> AllocationSolution:
@@ -500,13 +470,13 @@ def split_witness(alloc: AllocationSolution, consumer: int = 0) -> AllocationSol
 def class_number(
     stats: MarketStatistics,
     k_max: int | None = None,
-    tol_reject: float = 1e-4,
 ) -> ClassNumberResult:
     """Smallest k accepted by check_collective, scanning k = 1, 2, ...
 
     The default budget k_max = n (the number of goods) is a proven upper
     bound: every data set is n-consumer rationalizable, and check_collective
     shows it with the collinear split unless its numbers leave float64.
+    Only k = 1 can be rejected, so the certified lower bound is 1 or 2.
     """
     if k_max is None:
         k_max = stats.goods
@@ -518,7 +488,7 @@ def class_number(
     undecided_below = False
     lower = 1
     for k in range(1, k_max + 1):
-        res = check_collective(stats, k, tol_reject=tol_reject)
+        res = check_collective(stats, k)
         per_k[k] = res.decision
         if res.status is Status.FEASIBLE:
             value = k

@@ -4,12 +4,11 @@ Phase I drives the maximum constraint violation negative by Newton descent
 on a log-sum-exp smoothing of the max with an increasing sharpness schedule.
 Phase II follows the standard logarithmic barrier path for the slack-sum
 objective; at each centred point of that path the barrier duality gap
-yields a certified lower bound on the optimum.  The solver judges nothing:
-it returns the best point, its objective and the bound, and the caller
-decides which objective accepts and which bound rejects its program.  When
-Phase I stalls above tolerance the solver says why, and there is no optimum
-to judge: a stall of the smoothed descent certifies nothing about the
-program.
+yields a certified lower bound on the least objective.  The solver judges
+nothing: it returns the best point, its objective and the bound, and the
+caller decides what they mean for its program.  When Phase I stalls above
+tolerance the solver says why, and there is no least objective to bound: a
+stall of the smoothed descent certifies nothing about the program.
 
 The solver is deterministic: no randomness, fixed schedules, fixed tie
 breaking.
@@ -38,7 +37,7 @@ class SolveResult:
             point found, or where Phase I stopped when ``stalled`` is set.
         objective: sum of slack variables at the point.
         iterations: total Newton iterations spent (both phases).
-        lower_bound: best lower bound on the optimum certified by the
+        lower_bound: best lower bound on the least objective certified by the
             duality gap at a centred barrier point, or None.
         stalled: why Phase I did not reach the interior, or None when it did.
     """
@@ -255,7 +254,7 @@ class _Run:
             )
             self._note_incumbent(x)
             gap = m_total / t
-            if centred:  # the gap bounds the optimum only near the central path
+            if centred:  # the gap bounds the minimum only near the central path
                 lb = float(self.c @ x) - 2.0 * gap
                 if self.lower_bound is None or lb > self.lower_bound:
                     self.lower_bound = lb

@@ -79,18 +79,16 @@ class Status(str, enum.Enum):
 class Decision:
     """Outcome of a decision procedure.
 
-    UNDECIDED is reserved for genuine numerical ambiguity: a collective slack
-    bound below tol_reject, a solve whose phase I stalled, or search points
-    that fail independent verification.
+    UNDECIDED is reserved for genuine numerical ambiguity: multipliers or
+    cross expenditures that leave float64, a solve whose phase I stalled, or
+    a search whose points all fail independent verification.
 
     Attributes:
         status: FEASIBLE / INFEASIBLE / UNDECIDED.
-        optimum: the collective slack program's objective, when one was solved.
         detail: human-readable explanation.
     """
 
     status: Status
-    optimum: float | None = None
     detail: str = ""
 
 

@@ -330,9 +330,9 @@ def check_separability(part: PartitionedStatistics) -> SeparabilityResult:
     requires multipliers that pass direct verification at 1e-8.  They come
     from the exact start (the y-block certificate with the shortest-path mu)
     or else from the certificate search, started from the slack program's
-    lam and then from the y-block certificate.  ``optimum`` is always None:
-    the program's infimum is 0 for every partition whose y-block passes, so
-    its objective is no evidence either way.  A stalled phase I, a search
+    lam and then from the y-block certificate.  The program's objective is
+    never judged: its infimum is 0 for every partition whose y-block passes,
+    so it is no evidence either way.  A stalled phase I, a search
     that verifies nothing, and data whose cross expenditures overflow or
     underflow are UNDECIDED.
     """

@@ -226,7 +226,6 @@ def test_criterion_05_separability_acceptance(separable_runs):
         inst = SeparabilityInstance.from_partition(part)
         good = (
             result.status is Status.FEASIBLE
-            and result.decision.optimum is None  # no program objective is reported
             and verify_separability_solution(inst, result.lambdas, result.mus)
             and elapsed < 10.0
         )

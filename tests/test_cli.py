@@ -117,7 +117,6 @@ class TestSeparabilityCommand:
         assert code == 0
         _validate(report)
         assert report["status"] == "FEASIBLE"
-        assert report["optimum"] is None  # the exact start verified; no program solved
         assert report["tolerances"] == {}
         assert report["lambdas"] is not None
         assert report["violated_constraints"] == []
@@ -129,10 +128,15 @@ class TestSeparabilityCommand:
 
 
     def test_tol_reject_is_a_usage_error_exit_10(self, feasible_csv, capsys):
-        # the command rejects only through the exact harp checks
-        args = ["separability", "--input", str(feasible_csv), "--y-cols", "2"]
-        assert main(args + ["--tol-reject", "1e-4"]) == 10
-        assert "unrecognized arguments: --tol-reject" in capsys.readouterr().err
+        # no analysis command rejects on a slack bound, so none takes one
+        for args in (
+            ["separability", "--y-cols", "2"],
+            ["collective", "--k", "2"],
+            ["class-number"],
+        ):
+            argv = args + ["--input", str(feasible_csv), "--tol-reject", "1e-4"]
+            assert main(argv) == 10
+            assert "unrecognized arguments: --tol-reject" in capsys.readouterr().err
 
 
 def _lognormal_csv(tmp_path, goods):
@@ -169,7 +173,7 @@ class TestCollectiveCommands:
         code, report = _run(tmp_path, ["collective", "--input", str(csv), "--k", "4"])
         assert code == 0
         _validate(report)
-        assert report["tolerances"] == {"tol_reject": 1e-4}
+        assert report["tolerances"] == {}
         assert report["witness"]["k"] == 4
 
     def test_underflowing_even_split_is_no_internal_error(self, tmp_path):
@@ -191,7 +195,7 @@ class TestCollectiveCommands:
         assert code == 0
         _validate(report)
         assert report["status"] == "FOUND" and report["value"] <= 2
-        assert report["tolerances"] == {"tol_reject": 1e-4}
+        assert report["tolerances"] == {}
 
     def test_class_number_all_undecided_exit_2(self, tmp_path):
         # k = 1, 2, 3 are all UNDECIDED: no k was rejected, so not exit 3
@@ -209,8 +213,25 @@ class TestCollectiveCommands:
         _validate(report)
         assert report["per_k"] == {"1": "INFEASIBLE"}
 
-    def test_bad_k_exit_10(self, feasible_csv):
-        assert main(["collective", "--input", str(feasible_csv), "--k", "0"]) == 10
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["collective", "--k", "0"],
+            ["harp", "--tol", "0"],
+            ["harp", "--tol", "nan"],
+            ["harp", "--tol", "0.5"],
+            ["gen", "--family", "collective", "--goods", "0"],
+        ],
+        ids=["collective-k-0", "harp-tol-0", "harp-tol-nan", "harp-tol-0.5", "gen-goods-0"],
+    )
+    def test_bad_k_exit_10(self, tmp_path, feasible_csv, capsys, args):
+        # a bad flag value is a usage error (10), never an internal one (12)
+        if args[0] == "gen":
+            io = ["--out", str(tmp_path / "gen.csv")]
+        else:
+            io = ["--input", str(feasible_csv)]
+        assert main(args + io + ["--output", str(tmp_path / "r.json")]) == 10
+        assert f"usage error: {args[-2]} must" in capsys.readouterr().err
 
 
 class TestGenCommand:
