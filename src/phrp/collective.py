@@ -7,12 +7,13 @@ graph-based test.  For k >= n goods the answer is always yes, shown by a
 closed-form split with collinear bundles per consumer.  For 2 <= k < n a
 witness search runs.  Under PH each consumer's inequalities
 lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t are linear in the split
-once the multipliers are fixed, and fix the multipliers by a min-max-cycle
-LP once the split is fixed; the search alternates these two exact LP steps
-from fixed share patterns.  Every split
+once the multipliers are fixed, and once the split is fixed the best
+multipliers solve a min-max-cycle problem exactly: a maximum cycle mean
+and shortest-path potentials.  The search alternates these two exact
+steps, one LP per round, from fixed share patterns.  Every split
 it reaches is rescaled onto exact balance and validated per consumer with
 the exact test, so a FEASIBLE verdict ships a checkable split whatever the
-LPs returned.  A search miss is UNDECIDED, since a miss of a local search
+steps returned.  A search miss is UNDECIDED, since a miss of a local search
 proves nothing; nothing here rejects k >= 2.
 
 The split LP leaves every consumer a share of every good, so splits where
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import convex
+from . import _kernels, convex
 from .convex import linprog
 from .harp import check_harp, verify_certificate
 from .model import Decision, MarketStatistics, Status
@@ -251,30 +252,57 @@ def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
     return patterns
 
 
+def _max_cycle_mean(w: NDArray[np.float64]) -> float:
+    """The largest mean edge weight of a cycle, where edge t -> tau weighs
+    ``w[t, tau]``; the diagonal is -inf and every other weight finite, T >= 2.
+
+    Karp's table: D[j, v] is the heaviest walk of exactly j edges ending at
+    v from any start, and the answer is max_v min_{j < T} (D[T, v] - D[j, v])
+    / (T - j).
+    """
+    T = w.shape[0]
+    D = np.zeros((T + 1, T))
+    for j in range(T):
+        D[j + 1] = (D[j][:, None] + w).max(axis=0)
+    return float(((D[T] - D[:T]) / (T - np.arange(T))[:, None]).min(axis=0).max())
+
+
 def _multiplier_step(stats: MarketStatistics, sub_q: NDArray[np.float64]):
     """Per consumer, the multipliers that best fit its split; None if a log
-    is not finite or an LP fails.
+    is not finite or a log multiplier leaves +-_LOG_SPAN.
 
-    One LP per consumer a over the log multipliers d, with d_0 = 0 and
-    |d| <= _LOG_SPAN: minimise s subject to, for t != tau,
-    d_t - d_tau + log(p^t . q_a^t) - log(p^tau . q_a^t) <= s.
-    The multipliers are exp(d - max d).
+    Per consumer a the log multipliers d solve the min-max-cycle LP: minimise
+    s subject to, for t != tau, d_t - d_tau + w[t, tau] <= s with
+    w[t, tau] = log(p^t . q_a^t) - log(p^tau . q_a^t).  Its optimum s* is
+    the maximum cycle mean of w (:func:`_max_cycle_mean`), and with
+    cost = s* - w the optimal d with d_0 = 0 are the potentials
+    d_t <= d_tau + cost[t, tau]: shortest paths from period 0 give the
+    greatest, and shortest paths along the reversed edges, negated, the
+    least.  The optimal set is convex, so their midpoint is optimal too, and
+    it leaves every row off a critical cycle slack both ways.  The
+    multipliers are exp(d - max d); with one period there is no row and
+    they are 1.
     """
-    T = stats.periods
-    t, tau = np.nonzero(~np.eye(T, dtype=bool))
-    A = np.hstack([np.eye(T)[t] - np.eye(T)[tau], -np.ones((t.size, 1))])
-    bounds = [(0.0, 0.0)] + [(-_LOG_SPAN, _LOG_SPAN)] * (T - 1) + [(None, None)]
-    lams = np.empty(sub_q.shape[:2])
+    k, T = sub_q.shape[:2]
+    lams = np.ones((k, T))
+    if T == 1:
+        return lams
+    source = np.r_[0.0, np.full(T - 1, np.inf)]
+    parent = np.full(T, -1)
     for a, q in enumerate(sub_q):
         with np.errstate(all="ignore"):
             logc = np.log(stats.prices @ q.T)  # logc[s, t] = log(p^s . q_a^t)
-        w = logc[t, t] - logc[tau, t]
+            w = np.diagonal(logc)[:, None] - logc.T
         if not np.all(np.isfinite(w)):
             return None
-        res = linprog(np.r_[np.zeros(T), 1.0], A_ub=A, b_ub=-w, bounds=bounds, method="highs")
-        if res.status != 0:
+        np.fill_diagonal(w, -np.inf)
+        cost = _max_cycle_mean(w) - w  # +inf diagonal
+        greatest = _kernels.bf_rounds(cost.T, source, parent, T)[0]
+        least = -_kernels.bf_rounds(cost, source, parent, T)[0]
+        d = 0.5 * (greatest + least)
+        if np.max(np.abs(d)) > _LOG_SPAN:
             return None
-        lams[a] = np.exp(res.x[:T] - res.x[:T].max())
+        lams[a] = np.exp(d - d.max())
     return lams
 
 
@@ -353,7 +381,8 @@ def _collinear_split(stats: MarketStatistics, k: int) -> AllocationSolution | No
     Consumer a < n buys c_{t,a} v_a, with v_a = (1 - d) e_a + (d / n) 1,
     c_t = V^-1 Q^t > 0 and d = min(1/2, (n/2) min_{t,i} Q_ti / sum_i Q_ti);
     lam_{a,t} = 1 / (p^t . v_a) meets all of a's inequalities with equality.
-    :func:`split_witness` adds the consumers beyond n.
+    For k > n, consumer a's bundle splits into m_a equal pieces, each with
+    a's multipliers, where m_a is floor(k/n) or ceil(k/n) and sum_a m_a = k.
     """
     Q, n = stats.quantities, stats.goods
     with np.errstate(all="ignore"):
@@ -365,10 +394,12 @@ def _collinear_split(stats: MarketStatistics, k: int) -> AllocationSolution | No
         lams = np.exp(log_lam - log_lam.max(axis=1, keepdims=True))
     if not (np.all(np.isfinite(sub_q) & (sub_q > 0.0)) and np.all(lams > 0.0)):
         return None
+    pieces = np.full(n, k // n)
+    pieces[: k % n] += 1
+    sub_q = np.repeat(sub_q / pieces[:, None, None], pieces, axis=0)
+    lams = np.repeat(lams, pieces, axis=0)
     try:
         alloc = AllocationSolution(sub_q, lams, np.maximum(Q - sub_q.sum(axis=0), 0.0), Q)
-        for _ in range(k - n):
-            alloc = split_witness(alloc)
     except ValueError:  # a subnormal bundle that lost balance or positivity
         return None
     return alloc if verify_allocation(stats, alloc) else None
@@ -388,9 +419,9 @@ def check_collective(
     skipped where Q / k underflows to 0 in some entry.  For
     k >= n goods :func:`_collinear_split` decides next (UNDECIDED where it
     does not verify); for k < n the witness search (:func:`_witness_search`)
-    alternates an LP for the multipliers with an LP for the split from each
-    share start in turn, and a miss is UNDECIDED.  Only k = 1 can be
-    INFEASIBLE.
+    alternates the exact multiplier step (a maximum cycle mean and its
+    potentials) with an LP for the split from each share start in turn,
+    and a miss is UNDECIDED.  Only k = 1 can be INFEASIBLE.
     """
     if k == 1:
         res = check_harp(stats)

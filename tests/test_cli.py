@@ -176,6 +176,18 @@ class TestCollectiveCommands:
         assert report["tolerances"] == {}
         assert report["witness"]["k"] == 4
 
+    def test_many_consumers_exit_0(self, tmp_path):
+        # k far above n: every bundle splits into about k / n equal pieces
+        stats = MarketStatistics(
+            prices=[[1.0, 2.0], [2.0, 1.0]], quantities=[[1.0, 2.0], [2.0, 1.0]]
+        )
+        csv = tmp_path / "small.csv"
+        save_statistics(stats, csv)
+        code, report = _run(tmp_path, ["collective", "--input", str(csv), "--k", "2000"])
+        assert code == 0
+        _validate(report)
+        assert report["witness"]["k"] == 2000
+
     def test_underflowing_even_split_is_no_internal_error(self, tmp_path):
         # Q / 2 rounds the quantity 5e-324 to 0; that must not raise (exit 12)
         stats = MarketStatistics(

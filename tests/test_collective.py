@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -18,6 +19,8 @@ from conftest import (
 from phrp import collective, convex
 from phrp.collective import (
     AllocationSolution,
+    _max_cycle_mean,
+    _multiplier_step,
     _share_starts,
     _split_step,
     _witness_search,
@@ -225,11 +228,12 @@ class TestCheckCollective:
             expected = share[:, None, :] * agg.quantities[None, :, :] * (1.0 - 1e-6)
             np.testing.assert_array_equal(q, expected)
 
-    def test_share_start_wins_in_three_lps(self, monkeypatch):
-        # two multiplier LPs and one split LP from the first share start; the
+    @pytest.mark.parametrize("seed, goods", [(9012, 2), (9031, 3)])
+    def test_share_start_wins_in_one_lp(self, monkeypatch, seed, goods):
+        # one multiplier step and one split LP from the first share start; the
         # search is called directly, since check_collective takes the
         # collinear split at k = n = 2
-        agg, _ = make_aggregate(9012, periods=6, goods=2)
+        agg, _ = make_aggregate(seed, periods=6, goods=goods)
         lps, starts = [], []
         linprog, splits = collective.linprog, collective._splits
 
@@ -245,7 +249,16 @@ class TestCheckCollective:
         monkeypatch.setattr(collective, "_splits", recorded)
         alloc = _witness_search(agg, 2)
         assert alloc is not None and verify_allocation(agg, alloc)
-        assert len(starts) == 1 and len(lps) <= 3
+        assert len(starts) == 1 and len(lps) == 1
+
+    def test_sweep_of_two_consumer_aggregates(self):
+        # 120 aggregates of two opposite-taste consumers, n = 2, 3 and 4: all
+        # FEASIBLE at k = 2, each with a witness that passes verification
+        for i in range(120):
+            agg, _ = make_aggregate(9400 + i, periods=6, goods=2 + i % 3)
+            res = check_collective(agg, 2)
+            assert res.status is Status.FEASIBLE, i
+            assert verify_allocation(agg, res.allocation), i
 
     def test_witness_is_deterministic(self):
         agg, _ = make_aggregate(9031, periods=6, goods=3)
@@ -324,12 +337,109 @@ class TestCollinearSplit:
         if res.allocation is not None:
             assert verify_allocation(stats, res.allocation)
 
+    @pytest.mark.parametrize("k", [1076, 2000, 4000])
+    def test_many_consumers_split_every_bundle(self, k):
+        # each of the n bundles splits into about k / n pieces, so no bundle
+        # shrinks by more than a factor k / n
+        stats = MarketStatistics(
+            prices=[[1.0, 2.0], [2.0, 1.0]], quantities=[[1.0, 2.0], [2.0, 1.0]]
+        )
+        res = check_collective(stats, k)
+        assert res.status is Status.FEASIBLE
+        assert res.allocation.consumers == k
+        assert verify_allocation(stats, res.allocation)
+
     def test_subnormal_bundle_is_undecided_not_raised(self):
-        # for k > n a consumer's bundle is halved, and 5e-324 / 2 rounds to 0
+        # for k > n a consumer's bundle is split in pieces, and 5e-324 / 3 rounds to 0
         stats = MarketStatistics(prices=[[1.0], [2.0]], quantities=[[5e-324], [1.0]])
         res = check_collective(stats, 3)
         assert res.status is Status.UNDECIDED
         assert res.allocation is None
+
+
+def _rows(stats, q):
+    """w[t, tau] = log(p^t . q^t) - log(p^tau . q^t), the multiplier LP's rows."""
+    logc = np.log(stats.prices @ q.T)
+    return np.diagonal(logc)[:, None] - logc.T
+
+
+def _lp_multipliers(w):
+    """The multiplier LP, solved by HiGHS: minimise s subject to
+    d_t - d_tau + w[t, tau] <= s for t != tau, with d_0 = 0."""
+    from scipy.optimize import linprog
+
+    T = w.shape[0]
+    t, tau = np.nonzero(~np.eye(T, dtype=bool))
+    A = np.hstack([np.eye(T)[t] - np.eye(T)[tau], -np.ones((t.size, 1))])
+    bounds = [(0.0, 0.0)] + [(None, None)] * T
+    return linprog(np.r_[np.zeros(T), 1.0], A_ub=A, b_ub=-w[t, tau], bounds=bounds, method="highs")
+
+
+def _random_split(seed, periods, goods=3, consumers=2):
+    rng = np.random.default_rng(seed)
+    stats = MarketStatistics(
+        prices=np.exp(rng.standard_normal((periods, goods))),
+        quantities=np.exp(rng.standard_normal((periods, goods))),
+    )
+    share = rng.uniform(0.1, 1.0, (consumers, periods, goods))
+    return stats, share / share.sum(axis=0) * stats.quantities
+
+
+class TestMultiplierStep:
+    @pytest.mark.parametrize("periods", range(2, 7))
+    def test_max_cycle_mean_is_the_best_simple_cycle(self, periods):
+        rng = np.random.default_rng(periods)
+        for _ in range(5):
+            w = rng.standard_normal((periods, periods))
+            np.fill_diagonal(w, -np.inf)
+            best = max(
+                np.mean(w[cycle, np.roll(cycle, -1)])
+                for length in range(2, periods + 1)
+                for cycle in map(list, itertools.permutations(range(periods), length))
+                if cycle[0] == min(cycle)
+            )
+            assert _max_cycle_mean(w) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_lp_and_meets_every_row(self, seed):
+        stats, sub_q = _random_split(seed, periods=2 + seed % 10)
+        lams = _multiplier_step(stats, sub_q)
+        for q, lam in zip(sub_q, lams):
+            w = _rows(stats, q)
+            lp = _lp_multipliers(w)
+            assert lp.status == 0
+            np.fill_diagonal(w, -np.inf)
+            s = _max_cycle_mean(w)
+            spread = np.abs(w[np.isfinite(w)]).max()
+            assert s == pytest.approx(lp.fun, rel=1e-12, abs=1e-12 * spread)
+            # the centred potentials are optimal: each row holds to rounding
+            d = np.log(lam)
+            t, tau = np.nonzero(~np.eye(stats.periods, dtype=bool))
+            row = d[t] - d[tau] + w[t, tau]
+            scale = np.maximum.reduce(
+                [np.abs(d[t]), np.abs(d[tau]), np.abs(w[t, tau]), np.full(t.size, max(abs(s), 1.0))]
+            )
+            assert np.all(row - s <= 1e-12 * scale)
+            assert lam.max() == 1.0
+
+    def test_solves_no_lp(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the multiplier step solved an LP")
+
+        monkeypatch.setattr(collective, "linprog", refused)
+        stats, sub_q = _random_split(0, periods=8)
+        assert _multiplier_step(stats, sub_q) is not None
+
+    def test_one_period_has_unit_multipliers(self):
+        stats, sub_q = _random_split(1, periods=1)
+        np.testing.assert_array_equal(_multiplier_step(stats, sub_q), np.ones((2, 1)))
+
+    def test_non_finite_rows_are_none(self):
+        stats, sub_q = _random_split(2, periods=4)
+        sub_q[1, 2] = 0.0  # log(p . 0) = -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _multiplier_step(stats, sub_q) is None
 
 
 class TestSplitStep:
