@@ -10,11 +10,13 @@ lam_{a,t} p^t . q_a^t <= lam_{a,tau} p^tau . q_a^t are linear in the split
 once the multipliers are fixed, and once the split is fixed the best
 multipliers solve a min-max-cycle problem exactly: a maximum cycle mean
 and shortest-path potentials.  The search alternates these two exact
-steps, one LP per round, from fixed share patterns.  Every split
-it reaches is rescaled onto exact balance and validated per consumer with
-the exact test, so a FEASIBLE verdict ships a checkable split whatever the
-steps returned.  A search miss is UNDECIDED, since a miss of a local search
-proves nothing; nothing here rejects k >= 2.
+steps, one LP per round, from fixed share patterns.  Each split it reaches
+gets one multiplier step, whose multipliers serve twice: they certify the
+split, rescaled onto exact balance, by direct verification of every
+consumer's inequalities, and when that fails they fix the next split LP.
+So a FEASIBLE verdict ships a checkable split whatever the steps returned.
+A search miss is UNDECIDED, since a miss of a local search proves nothing;
+nothing here rejects k >= 2.
 
 The split LP leaves every consumer a share of every good, so splits where
 a consumer buys none of some good are unreachable; reported decisions are
@@ -203,27 +205,6 @@ def verify_allocation(
     return True
 
 
-def _extract_allocation(
-    stats: MarketStatistics, qtil: NDArray[np.float64]
-) -> AllocationSolution | None:
-    """Rescale a log-split onto exact balance and validate it per consumer,
-    taking each consumer's multipliers from the exact test."""
-    Q = stats.quantities
-    sub_q = np.exp(qtil)
-    scaled = sub_q * (Q / sub_q.sum(axis=0))[None, :, :]
-    lams = np.empty(scaled.shape[:2])
-    for a, q in enumerate(scaled):
-        result = check_harp(MarketStatistics(prices=stats.prices, quantities=q))
-        if result.status is not Status.FEASIBLE:
-            return None
-        lams[a] = result.certificate.lambdas
-    residuals = np.maximum(Q - scaled.sum(axis=0), 0.0)
-    alloc = AllocationSolution(
-        sub_quantities=scaled, sub_lambdas=lams, residuals=residuals, totals=Q
-    )
-    return alloc if verify_allocation(stats, alloc) else None
-
-
 def _share_starts(k: int, n: int) -> list[NDArray[np.float64]]:
     """Deterministic share patterns over consumers x goods, summing to 1.
 
@@ -343,34 +324,39 @@ def _split_step(stats: MarketStatistics, lams: NDArray[np.float64]):
     return x * Q, float(res.fun)
 
 
-def _splits(stats: MarketStatistics, sub_q: NDArray[np.float64], rounds: int):
-    """A start's split, then the split after each round of multiplier and
-    split steps.  Ends after ``rounds`` rounds, 3 rounds in a row that did
-    not lower the split objective, or a step that returned None."""
-    yield sub_q
-    prev, stagnant = math.inf, 0
-    for _ in range(rounds):
-        lams = _multiplier_step(stats, sub_q)
-        step = None if lams is None else _split_step(stats, lams)
-        if step is None:
-            return
-        sub_q, objective = step
-        yield sub_q
-        stagnant = stagnant + 1 if prev - objective < 1e-10 * max(1.0, abs(prev)) else 0
-        prev = objective
-        if stagnant >= 3:
-            return
-
-
 def _witness_search(stats: MarketStatistics, k: int) -> AllocationSolution | None:
-    """The first split of :func:`_splits` that :func:`_extract_allocation`
-    validates, from the share starts of :func:`_share_starts` in order; or None."""
+    """The first verified split, from the share starts of :func:`_share_starts`
+    in order; or None.
+
+    From each start ``share * Q * (1 - 1e-6)``, every split gets one
+    :func:`_multiplier_step`.  Its multipliers certify the split, rescaled
+    onto exact balance, through :func:`verify_allocation`; when that fails
+    they feed :func:`_split_step` for the next split.  A start ends at a
+    bundle that is not positive, a step that returns None, its 31st split,
+    or after 3 split steps in a row that did not lower the split objective.
+    """
+    Q = stats.quantities
     for share in _share_starts(k, stats.goods):
-        start = share[:, None, :] * stats.quantities[None, :, :] * (1.0 - 1e-6)
-        for sub_q in _splits(stats, start, rounds=30):
-            alloc = _extract_allocation(stats, np.log(sub_q))
-            if alloc is not None:
+        sub_q = share[:, None, :] * Q[None, :, :] * (1.0 - 1e-6)
+        prev, stagnant = math.inf, 0
+        for split in range(31):
+            if np.any(sub_q <= 0.0):  # share * Q may underflow
+                break
+            lams = _multiplier_step(stats, sub_q)
+            if lams is None:
+                break
+            scaled = sub_q * (Q / sub_q.sum(axis=0))[None, :, :]
+            alloc = AllocationSolution(scaled, lams, np.maximum(Q - scaled.sum(axis=0), 0.0), Q)
+            if verify_allocation(stats, alloc):
                 return alloc
+            if split == 30 or stagnant >= 3:
+                break
+            step = _split_step(stats, lams)
+            if step is None:
+                break
+            sub_q, objective = step
+            stagnant = stagnant + 1 if prev - objective < 1e-10 * max(1.0, abs(prev)) else 0
+            prev = objective
     return None
 
 
@@ -421,7 +407,9 @@ def check_collective(
     does not verify); for k < n the witness search (:func:`_witness_search`)
     alternates the exact multiplier step (a maximum cycle mean and its
     potentials) with an LP for the split from each share start in turn,
-    and a miss is UNDECIDED.  Only k = 1 can be INFEASIBLE.
+    and each split is certified by its own multiplier step's multipliers;
+    a miss is UNDECIDED.  The exact graph test runs once, on the aggregate,
+    whatever the search does.  Only k = 1 can be INFEASIBLE.
     """
     if k == 1:
         res = check_harp(stats)

@@ -117,6 +117,18 @@ def extreme_scales() -> MarketStatistics:
     return MarketStatistics(prices=prices, quantities=base.quantities)
 
 
+def subnormal_quantity() -> MarketStatistics:
+    """Lognormal T=5, n=3 data with the quantity 5e-324 in period 0, good 0.
+
+    A share of it below one half rounds to 0, so every share start of the
+    collective witness search at k = 2 leaves some consumer none of it.
+    """
+    rng = np.random.default_rng(0)
+    prices, quantities = np.exp(rng.standard_normal((2, 5, 3)))
+    quantities[0, 0] = 5e-324
+    return MarketStatistics(prices=prices, quantities=quantities)
+
+
 def perturbed_nested(seed: int, periods: int, sigma: float, noise_seed: int):
     """``make_nested`` with its quantities times exp(sigma * N(0, 1)), same partition."""
     from phrp.model import partition

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import extreme_scales
+from conftest import extreme_scales, subnormal_quantity
 from phrp import harp
 from phrp.cli import main, report_schema
 from phrp.model import MarketStatistics, save_statistics
@@ -199,6 +199,16 @@ class TestCollectiveCommands:
         assert code != 12
         _validate(report)
         assert report["status"] in ("FEASIBLE", "UNDECIDED")
+
+    @pytest.mark.parametrize("args", [["collective", "--k", "2"], ["class-number"]])
+    def test_underflowing_share_start_exit_2(self, tmp_path, args):
+        # share * Q rounds 5e-324 to 0 in every share start: a search miss
+        # (exit 2), not an input error (exit 11)
+        csv = tmp_path / "subnormal.csv"
+        save_statistics(subnormal_quantity(), csv)
+        code, report = _run(tmp_path, args + ["--input", str(csv)])
+        assert code == 2
+        _validate(report)
 
     def test_class_number_at_most_goods_exit_0(self, tmp_path):
         # k = n is always accepted, so class-number finds a value within n

@@ -15,6 +15,7 @@ from conftest import (
     extreme_scales,
     make_aggregate,
     make_cd,
+    subnormal_quantity,
 )
 from phrp import collective, convex
 from phrp.collective import (
@@ -32,6 +33,20 @@ from phrp.collective import (
 )
 from phrp.harp import check_harp
 from phrp.model import MarketStatistics, Status
+
+
+@pytest.fixture
+def split_lps(monkeypatch):
+    """A list that grows by one at each split LP the collective module solves."""
+    lps = []
+    linprog = collective.linprog
+
+    def counted_lp(*args, **kwargs):
+        lps.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(collective, "linprog", counted_lp)
+    return lps
 
 
 class TestBuildProgram:
@@ -211,16 +226,14 @@ class TestCheckCollective:
             assert res.allocation is None
 
     def test_starts_are_the_share_patterns(self, monkeypatch):
+        # a multiplier step that returns None ends each start at its first split
         agg, _ = make_aggregate(9012, periods=6, goods=2)
         starts = []
-        splits = collective._splits
 
-        def recorded(stats, sub_q, rounds):
+        def recorded(stats, sub_q):
             starts.append(sub_q)
-            return splits(stats, sub_q, rounds)
 
-        monkeypatch.setattr(collective, "_splits", recorded)
-        monkeypatch.setattr(collective, "_extract_allocation", lambda stats, qtil: None)
+        monkeypatch.setattr(collective, "_multiplier_step", recorded)
         assert _witness_search(agg, 2) is None
         shares = _share_starts(2, agg.goods)
         assert len(starts) == len(shares)
@@ -229,27 +242,24 @@ class TestCheckCollective:
             np.testing.assert_array_equal(q, expected)
 
     @pytest.mark.parametrize("seed, goods", [(9012, 2), (9031, 3)])
-    def test_share_start_wins_in_one_lp(self, monkeypatch, seed, goods):
-        # one multiplier step and one split LP from the first share start; the
-        # search is called directly, since check_collective takes the
-        # collinear split at k = n = 2
+    def test_share_start_wins_in_one_lp(self, monkeypatch, split_lps, seed, goods):
+        # the first share start's split fails, and the split after one LP is
+        # verified: two multiplier steps in all; the search is called
+        # directly, since check_collective takes the collinear split at k = n = 2
         agg, _ = make_aggregate(seed, periods=6, goods=goods)
-        lps, starts = [], []
-        linprog, splits = collective.linprog, collective._splits
+        steps = []
+        multiplier_step = collective._multiplier_step
 
-        def counted_lp(*args, **kwargs):
-            lps.append(1)
-            return linprog(*args, **kwargs)
+        def recorded(stats, sub_q):
+            steps.append(sub_q)
+            return multiplier_step(stats, sub_q)
 
-        def recorded(stats, sub_q, rounds):
-            starts.append(sub_q)
-            return splits(stats, sub_q, rounds)
-
-        monkeypatch.setattr(collective, "linprog", counted_lp)
-        monkeypatch.setattr(collective, "_splits", recorded)
+        monkeypatch.setattr(collective, "_multiplier_step", recorded)
         alloc = _witness_search(agg, 2)
         assert alloc is not None and verify_allocation(agg, alloc)
-        assert len(starts) == 1 and len(lps) == 1
+        first = _share_starts(2, goods)[0][:, None, :] * agg.quantities * (1.0 - 1e-6)
+        np.testing.assert_array_equal(steps[0], first)
+        assert len(steps) == 2 and len(split_lps) == 1
 
     def test_sweep_of_two_consumer_aggregates(self):
         # 120 aggregates of two opposite-taste consumers, n = 2, 3 and 4: all
@@ -272,6 +282,39 @@ class TestCheckCollective:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _witness_search(extreme_scales(), 2) is None
+
+    def test_underflowing_share_start_is_skipped(self):
+        # share * Q rounds 5e-324 to 0 for some consumer in every start; the
+        # start ends before a log of 0 is taken or a zero bundle is checked
+        stats = subnormal_quantity()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = check_collective(stats, 2)
+        assert res.status is Status.UNDECIDED
+        assert res.decision.detail == "no verifiable split found within the search budget"
+
+    @pytest.mark.parametrize("search", ["win", "miss"])
+    def test_search_checks_the_aggregate_only(self, monkeypatch, search):
+        # check_harp runs once, on the aggregate; every split is certified by
+        # the multipliers of its own multiplier step
+        stats = make_aggregate(9031, periods=6, goods=3)[0] if search == "win" else _t8_miss()
+        calls = []
+        harp = collective.check_harp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return harp(*args, **kwargs)
+
+        monkeypatch.setattr(collective, "check_harp", counted)
+        res = check_collective(stats, 2)
+        assert res.status is (Status.FEASIBLE if search == "win" else Status.UNDECIDED)
+        assert len(calls) == 1
+
+    def test_miss_keeps_the_round_budget(self, split_lps):
+        # 31 splits per start at most, and a start ends after 3 split steps in
+        # a row that did not lower the split objective
+        assert _witness_search(_t8_miss(), 2) is None
+        assert len(split_lps) == 145
 
     def test_hint_short_circuits(self):
         agg, witness = make_aggregate(3)
@@ -383,6 +426,65 @@ def _random_split(seed, periods, goods=3, consumers=2):
     )
     share = rng.uniform(0.1, 1.0, (consumers, periods, goods))
     return stats, share / share.sum(axis=0) * stats.quantities
+
+
+def _t8_miss():
+    """The first harp-INFEASIBLE T=8, n=3 lognormal aggregate from seed 0; the
+    witness search misses it at k = 2."""
+    rng = np.random.default_rng(0)
+    while True:
+        stats = MarketStatistics(
+            prices=np.exp(rng.standard_normal((8, 3))),
+            quantities=np.exp(rng.standard_normal((8, 3))),
+        )
+        if check_harp(stats).status is Status.INFEASIBLE:
+            return stats
+
+
+def _tight_copies(count=200):
+    """(i, data) for i < count: ``make_cd(i, 6, 3)`` followed by a copy of its
+    periods with prices times f ~ U(0.3, 3), drawn from seed 0.  Each copy
+    closes cycles of ratio exactly 1, so the data are exactly tight."""
+    rng = np.random.default_rng(0)
+    for i in range(count):
+        base = make_cd(i, 6, 3)
+        f = rng.uniform(0.3, 3.0, 6)
+        yield i, MarketStatistics(
+            prices=np.vstack([base.prices, base.prices * f[:, None]]),
+            quantities=np.vstack([base.quantities, base.quantities]),
+        )
+
+
+class TestTightSplits:
+    @pytest.fixture
+    def even_start(self, monkeypatch, split_lps):
+        """Only the even share start, and a count of the split LPs."""
+        monkeypatch.setattr(collective, "_share_starts", lambda k, n: [np.full((k, n), 1.0 / k)])
+        return split_lps
+
+    def test_even_split_is_certified_at_once(self, even_start):
+        # wherever check_harp is not FEASIBLE on tight data, the even split's
+        # first multiplier step certifies it, with no split LP
+        tight = 0
+        for i, stats in _tight_copies():
+            if check_harp(stats).status is Status.FEASIBLE:
+                continue
+            tight += 1
+            alloc = _witness_search(stats, 2)
+            assert alloc is not None and verify_allocation(stats, alloc), i
+        assert tight == 34 and not even_start
+
+    def test_split_check_harp_leaves_undecided(self, even_start):
+        # i = 20: check_harp says UNDECIDED on each consumer's bundle, a
+        # tight cycle of ratio 1, yet the split verifies with the multiplier
+        # step's own multipliers
+        stats = dict(_tight_copies(21))[20]
+        alloc = _witness_search(stats, 2)
+        assert alloc is not None and verify_allocation(stats, alloc)
+        assert not even_start
+        for q in alloc.sub_quantities:
+            res = check_harp(MarketStatistics(prices=stats.prices, quantities=q))
+            assert res.status is Status.UNDECIDED
 
 
 class TestMultiplierStep:
