@@ -15,10 +15,19 @@ whose expenditure-ratio product below 1 witnesses the violation.
 The cross expenditures ``p^tau . q^t`` are the entries of the rank-n matrix
 P Q^T, and the graph is kept as those two factors.  Beyond ``BLOCK_ROWS``
 periods the relaxation ranks candidates by products of the factors, and the
-certificate check takes the T x T products, a block of rows at a time, so a
-decision holds O(T n) plus one (BLOCK_ROWS, T) block, never a T x T array.
+certificate check takes the T x T products a block of target periods at a
+time, with the multipliers folded into the prices, so a decision holds
+O(T n) plus one (BLOCK_ROWS, T) block, never a T x T array.
 Up to ``BLOCK_ROWS`` periods the log weights are built once, no larger than
 that block, and relaxed densely.
+
+Under PH the multipliers are ``lam_t = 1 / P(p^t)``, with P the utility's
+unit-cost (price index) function, so the relaxation starts at the logs of a
+multilateral Tornqvist index computed from the data alone (Caves,
+Christensen & Diewert, Economic Journal 92, 1982).  The index is exact for
+Cobb-Douglas utilities, where the first round settles, and second-order
+for any homothetic one (Diewert, J. Econometrics 4, 1976).  Any finite start
+is sound; a run from it that ends UNDECIDED is repeated from zero labels.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ from numpy.typing import NDArray
 
 from . import _kernels
 from .model import Decision, MarketStatistics, Status
+
+_TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 
 
 class InvalidCertificateError(Exception):
@@ -202,9 +214,10 @@ def _softmax(logits: NDArray[np.float64]) -> NDArray[np.float64]:
     return e / e.sum()
 
 
-def _cycle_stats(cycle: list[int], graph: CrossGraph) -> tuple[float, float]:
+def _cycle_stats(cycle: list[int], graph: CrossGraph) -> tuple[float, float, bool]:
     # from the cycle's own dot products (p^a . q^b) / (p^b . q^b), taken by the
-    # graph's formula, so a cycle through duplicated periods weighs exactly 0
+    # graph's formula, so a cycle through duplicated periods weighs exactly 0;
+    # the flag says whether all 2m of them are finite normal floats
     nxt = cycle[1:] + cycle[:1]
     m = len(cycle)
     # the cycle's m cross expenditures, then the own ones of its targets
@@ -220,7 +233,8 @@ def _cycle_stats(cycle: list[int], graph: CrossGraph) -> tuple[float, float]:
     if not 0.0 < ratio < np.inf or abs(math.log(ratio) - log_weight) > 5e-10:
         log_weight = max(log_weight, -700.0)
         ratio = float(np.exp(log_weight))
-    return log_weight, ratio
+    values = dots.tolist()
+    return log_weight, ratio, _TINY <= min(values) and max(values) < math.inf
 
 
 def _parent_cycle(parent: NDArray[np.int64]) -> list[int] | None:
@@ -245,15 +259,46 @@ def _parent_cycle(parent: NDArray[np.int64]) -> list[int] | None:
     return [start] + backward[:0:-1]
 
 
+def _index_potentials(graph: CrossGraph) -> NDArray[np.float64] | None:
+    """Log multipliers ``-log P(p^t)`` of the multilateral Tornqvist index, or None.
+
+    ``d_t = -sum_i (s^t_i + sbar_i) / 2 * (log p^t_i - mean_tau log p^tau_i)``,
+    with budget shares ``s^t = p^t * q^t / (p^t . q^t)`` and their mean
+    ``sbar`` over the periods.  Cobb-Douglas shares are the same in every
+    period, and then d is ``log(u(q^t) / (p^t . q^t))`` to rounding.  None
+    when an own expenditure is not a finite normal float; otherwise every
+    share lies in [0, 1] and every log price is finite, and so is d.
+    """
+    p, q = graph.prices, graph.quantities
+    mean = np.full(p.shape[0], 1.0 / p.shape[0])  # means as dot products: cheap at small T
+    with np.errstate(over="ignore"):  # an own expenditure past float64 is turned away
+        shares = p * q
+        own = shares.sum(axis=1)
+    if not (own.min() >= _TINY and math.isfinite(mean.dot(own))):
+        return None
+    shares /= own[:, None]
+    shares += mean.dot(shares)
+    logp = np.log(p)
+    logp -= mean.dot(logp)
+    shares *= logp
+    d = shares.sum(axis=1)
+    d *= -0.5
+    return d
+
+
 def shortest_potentials(
     weights: NDArray[np.float64],
+    start: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64] | None, list[int] | None]:
     """Solve ``d_t - d_tau <= w[tau, t]`` or find a negative cycle.
 
     ``weights`` is a (T, T) matrix whose diagonal is 0 or +inf, or a
-    :class:`CrossGraph`.  Jacobi
-    rounds start from the all-zero labels (a virtual source); after each
-    round that still improves, the parent graph is searched for a cycle.
+    :class:`CrossGraph`.  Jacobi rounds start from ``start``, finite (T,)
+    labels, or from the all-zero labels (a virtual source) when it is None;
+    after each round that still improves, the parent graph is searched for
+    a cycle.  Any finite start is sound: labels only fall along real edges,
+    so a parent cycle is a negative cycle and a settled round satisfies
+    every edge.
 
     Returns (labels, None) once a round settles, else (None, cycle) for the
     first parent cycle found, in forward order from its smallest period.  A
@@ -272,8 +317,10 @@ def shortest_potentials(
     :meth:`CrossGraph.log_weights`, no larger than the factored rounds'
     scratch block, since a dense round takes fewer numpy calls; a larger one
     is relaxed on its factors, whose labels match the dense rounds' to
-    rounding.  Either way a cross expenditure that is not finite and
-    positive raises :class:`phrp._kernels.FloatRangeError`.
+    rounding.  A cross expenditure that is not finite and positive raises
+    :class:`phrp._kernels.FloatRangeError` from the materialised weights
+    and from a factored first round at zero labels; a factored run from a
+    nonzero ``start`` checks only that each winning product is normal.
     """
     if isinstance(weights, CrossGraph):
         T = weights.nodes
@@ -282,7 +329,7 @@ def shortest_potentials(
     else:
         weights = np.asfortranarray(weights)
         T = weights.shape[0]
-    dist = np.zeros(T)
+    dist = np.zeros(T) if start is None else start
     parent = np.full(T, -1, dtype=np.int64)
     frontier = np.ones(T, dtype=bool)
     for _ in range(T + 1):
@@ -297,6 +344,15 @@ def shortest_potentials(
 
 def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
     """Decide PH rationalizability of the statistics.
+
+    The relaxation starts at the price-index potentials of
+    :func:`_index_potentials`, which settle in the first round on
+    Cobb-Douglas data, unless an own expenditure is not a finite normal
+    float; then it starts from zero labels only.  The index run skips the zero-label round's range checks, so it
+    reports INFEASIBLE only on a cycle whose 2m dot products are all finite
+    normal floats, and a FEASIBLE still passes :func:`verify_certificate`.
+    When it ends UNDECIDED, the decision is made again from zero labels, and
+    that result is returned as it is.
 
     Args:
         stats: market statistics.
@@ -318,8 +374,23 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             certificate=cert,
         )
     graph = build_cross_graph(stats)
+    start = _index_potentials(graph)
+    if start is not None:
+        result = _decide(stats, graph, tol, start)
+        if result.status is not Status.UNDECIDED:
+            return result
+    return _decide(stats, graph, tol, None)
+
+
+def _decide(
+    stats: MarketStatistics,
+    graph: CrossGraph,
+    tol: float,
+    start: NDArray[np.float64] | None,
+) -> HarpResult:
+    """One relaxation run from ``start`` (None: zero labels) and its verdict."""
     try:
-        labels, cycle = shortest_potentials(graph)
+        labels, cycle = shortest_potentials(graph, start)
     except _kernels.FloatRangeError as exc:
         # a cross expenditure that over- or underflowed carries no log weight,
         # so neither a certificate nor a cycle ratio over it can be trusted
@@ -337,7 +408,12 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
             Decision(Status.FEASIBLE, detail="shortest-path potentials found"),
             certificate=cert,
         )
-    log_weight, ratio = _cycle_stats(cycle, graph)
+    log_weight, ratio, normal = _cycle_stats(cycle, graph)
+    if start is not None and not normal:
+        # no range check vouched for these products in this run
+        return HarpResult(
+            Decision(Status.UNDECIDED, detail="cycle expenditures leave the normal floats")
+        )
     if not (log_weight < 0.0 and ratio < 1.0):
         return HarpResult(
             Decision(
@@ -348,7 +424,7 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
     witness = ViolationCycle(
         periods=tuple(cycle) + (cycle[0],), log_weight=log_weight, cycle_ratio=ratio
     )
-    if log_weight <= np.log1p(-tol):
+    if log_weight <= math.log1p(-tol):
         return HarpResult(
             Decision(
                 Status.INFEASIBLE,
@@ -365,6 +441,20 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
     )
 
 
+def _cross_in_range(p: NDArray[np.float64], q: NDArray[np.float64]) -> bool:
+    """True if every product ``p^tau . q^t`` is provably finite and positive.
+
+    With nonnegative terms, rounding is monotone: each computed product is
+    at least any one of its rounded terms, so at least the largest of the
+    goods' ``min p_i * min q_i``, and at most ``sum_i max p_i * max q_i``
+    within a relative ``4 n eps``.  False when these bounds cannot tell.
+    """
+    with np.errstate(all="ignore"):
+        top = float(p.max(axis=0) @ q.max(axis=0)) * (1.0 + 4 * p.shape[1] * _EPS)
+        bottom = float((p.min(axis=0) * q.min(axis=0)).max())
+    return bottom > 0.0 and top < np.inf
+
+
 def verify_certificate(
     stats: MarketStatistics,
     cert: AfriatCertificate | NDArray[np.float64],
@@ -375,10 +465,18 @@ def verify_certificate(
     Also requires the multipliers to be strictly positive and to sum to 1
     within 1e-9, and every cross expenditure to be finite and strictly
     positive: after overflow to inf or underflow to 0, ``inf <= inf`` and
-    ``0 <= 0`` would pass.  The products ``p^tau . q^t`` are taken
-    ``BLOCK_ROWS`` rows of tau at a time into one scratch block, with a
-    running minimum over tau of ``lam_tau p^tau . q^t`` per period t, so no
-    T x T array is built.
+    ``0 <= 0`` would pass.
+
+    The products are taken ``BLOCK_ROWS`` target periods t at a time into
+    one scratch block, so no T x T array is built, and the check returns
+    False at the first block that fails.  Above one block, the multipliers
+    are folded into the prices, so a block's row t holds ``(lam_tau p^tau)
+    . q^t`` for every tau: one product and one row minimum per block, with
+    ``lam_t p^t . q^t`` on its diagonal.  The raw cross expenditures are then
+    proved finite and positive by O(T n) column bounds instead.  Up to one
+    block, or when the bounds cannot tell, or when a folded price is below
+    the normal floats, each block holds the raw products, which are checked
+    and then scaled by the multipliers.
     """
     lam = cert.lambdas if isinstance(cert, AfriatCertificate) else np.asarray(cert, float)
     if lam.ndim != 1 or lam.size != stats.periods:
@@ -389,23 +487,27 @@ def verify_certificate(
         return False
     p, q = stats.prices, stats.quantities
     T = lam.size
-    scratch = np.empty(min(_kernels.BLOCK_ROWS, T) * T)
-    own = np.empty(T)  # lam_t p^t.q^t
-    cheapest = np.empty(T)  # min_tau lam_tau p^tau.q^t
+    folded = None  # lam_tau p^tau, where the raw products need not be formed
+    if T > _kernels.BLOCK_ROWS and _cross_in_range(p, q):
+        folded = lam[:, None] * p
+        if not folded.min() >= _TINY:  # a subnormal factor loses digits q^t can magnify
+            folded = None
+    rows = min(_kernels.BLOCK_ROWS, T)
+    scratch = np.empty(rows * T)
     with np.errstate(over="ignore"):
-        for lo in range(0, T, _kernels.BLOCK_ROWS):
-            rows = min(_kernels.BLOCK_ROWS, T - lo)
-            cross = scratch[: rows * T].reshape(rows, T)
-            np.matmul(p[lo : lo + rows], q.T, out=cross)
-            if not 0.0 < cross.min() <= cross.max() < np.inf:
-                return False
-            cross *= lam[lo : lo + rows, None]
-            own[lo : lo + rows] = cross.reshape(-1)[lo :: T + 1]  # the entries (t, t)
-            if lo:
-                np.minimum(cheapest, cross.min(axis=0), out=cheapest)
+        for lo in range(0, T, rows):
+            block = scratch[: min(rows, T - lo) * T].reshape(-1, T)
+            if folded is None:
+                np.matmul(q[lo : lo + rows], p.T, out=block)
+                if not 0.0 < block.min() <= block.max() < np.inf:
+                    return False
+                block *= lam
             else:
-                cross.min(axis=0, out=cheapest)
-    return bool((own <= cheapest * (1.0 + tol)).all())
+                np.matmul(q[lo : lo + rows], folded.T, out=block)
+            own = block.reshape(-1)[lo :: T + 1]  # the entries (t, t)
+            if not (own <= block.min(axis=1) * (1.0 + tol)).all():
+                return False
+    return True
 
 
 def recover_utility(

@@ -129,6 +129,22 @@ def subnormal_quantity() -> MarketStatistics:
     return MarketStatistics(prices=prices, quantities=quantities)
 
 
+def tight_copies(seed: int = 0, divide: bool = False, count: int = 200):
+    """(i, data) for i < count: ``make_cd(i, 6, 3)`` followed by a copy of its
+    periods with prices times f ~ U(0.3, 3), drawn from ``seed``, and
+    quantities divided by f when ``divide``.  Each copy closes cycles of
+    ratio exactly 1, so the data are exactly tight."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        base = make_cd(i, 6, 3)
+        f = rng.uniform(0.3, 3.0, (6, 1))
+        quantities = base.quantities / f if divide else base.quantities
+        yield i, MarketStatistics(
+            prices=np.vstack([base.prices, base.prices * f]),
+            quantities=np.vstack([base.quantities, quantities]),
+        )
+
+
 def perturbed_nested(seed: int, periods: int, sigma: float, noise_seed: int):
     """``make_nested`` with its quantities times exp(sigma * N(0, 1)), same partition."""
     from phrp.model import partition

@@ -16,6 +16,7 @@ from conftest import (
     make_aggregate,
     make_cd,
     subnormal_quantity,
+    tight_copies,
 )
 from phrp import collective, convex
 from phrp.collective import (
@@ -441,20 +442,6 @@ def _t8_miss():
             return stats
 
 
-def _tight_copies(count=200):
-    """(i, data) for i < count: ``make_cd(i, 6, 3)`` followed by a copy of its
-    periods with prices times f ~ U(0.3, 3), drawn from seed 0.  Each copy
-    closes cycles of ratio exactly 1, so the data are exactly tight."""
-    rng = np.random.default_rng(0)
-    for i in range(count):
-        base = make_cd(i, 6, 3)
-        f = rng.uniform(0.3, 3.0, 6)
-        yield i, MarketStatistics(
-            prices=np.vstack([base.prices, base.prices * f[:, None]]),
-            quantities=np.vstack([base.quantities, base.quantities]),
-        )
-
-
 class TestTightSplits:
     @pytest.fixture
     def even_start(self, monkeypatch, split_lps):
@@ -464,21 +451,24 @@ class TestTightSplits:
 
     def test_even_split_is_certified_at_once(self, even_start):
         # wherever check_harp is not FEASIBLE on tight data, the even split's
-        # first multiplier step certifies it, with no split LP
-        tight = 0
-        for i, stats in _tight_copies():
+        # first multiplier step certifies it, with no split LP.  These 13 data
+        # sets are among the 34 that a relaxation from zero labels alone left
+        # UNDECIDED; the price-index start decides the other 21.
+        tight = []
+        for i, stats in tight_copies():
             if check_harp(stats).status is Status.FEASIBLE:
                 continue
-            tight += 1
+            tight.append(i)
             alloc = _witness_search(stats, 2)
             assert alloc is not None and verify_allocation(stats, alloc), i
-        assert tight == 34 and not even_start
+        assert tight == [1, 20, 29, 35, 58, 87, 112, 128, 131, 146, 174, 189, 198]
+        assert not even_start
 
     def test_split_check_harp_leaves_undecided(self, even_start):
         # i = 20: check_harp says UNDECIDED on each consumer's bundle, a
         # tight cycle of ratio 1, yet the split verifies with the multiplier
         # step's own multipliers
-        stats = dict(_tight_copies(21))[20]
+        stats = dict(tight_copies(count=21))[20]
         alloc = _witness_search(stats, 2)
         assert alloc is not None and verify_allocation(stats, alloc)
         assert not even_start

@@ -7,13 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import extreme_scales, make_cd, rescaled_infeasible
+from conftest import extreme_scales, make_cd, rescaled_infeasible, tight_copies
 from phrp import _kernels
+from phrp.datagen import perturb
 from phrp.harp import (
     AfriatCertificate,
     InvalidCertificateError,
     PiecewiseLinearUtility,
     _cycle_stats,
+    _decide,
+    _index_potentials,
     _parent_cycle,
     build_cross_graph,
     check_harp,
@@ -176,15 +179,19 @@ class TestCheckHarp:
     def test_tight_single_good_never_raises(self):
         # every cycle ratio is exactly 1, so rounding decides the sign of a
         # cycle's weight; the truth is FEASIBLE with lam_t proportional to 1/p_t
+        # (20 of these 200 draws are FEASIBLE; 18 from zero labels alone)
         rng = np.random.default_rng(0)
+        feasible = 0
         for _ in range(200):
             stats = _single_good(rng, 5)
             result = check_harp(stats)
             assert result.status in (Status.FEASIBLE, Status.UNDECIDED)
             if result.status is Status.FEASIBLE:
                 assert verify_certificate(stats, result.certificate)
+                feasible += 1
             if result.cycle is not None:
                 assert result.cycle.cycle_ratio < 1.0
+        assert feasible == 20
 
     @pytest.mark.parametrize("factor", [1e160, 1e200, 1e-200])
     def test_overflow_or_underflow_is_undecided(self, factor):
@@ -193,6 +200,7 @@ class TestCheckHarp:
         with np.errstate(all="ignore"):
             result = check_harp(rescaled_infeasible(factor))
         assert result.status is Status.UNDECIDED
+        assert result.decision.detail == "cross expenditures overflow or underflow"
 
     def test_multipliers_beyond_float64_are_undecided(self):
         # the shortest-path labels span more than 745, so the smallest
@@ -364,7 +372,7 @@ class TestShortestPotentials:
             np.testing.assert_allclose(labels, want_labels, rtol=0.0, atol=1e-12)
             assert np.all(labels[:, None] + weights >= labels[None, :] - 1e-12)
         else:
-            log_weight, ratio = _cycle_stats(cycle, graph)
+            log_weight, ratio, _ = _cycle_stats(cycle, graph)
             assert log_weight < 0.0 and ratio < 1.0
 
     @pytest.mark.parametrize("diagonal", [0.0, np.inf])
@@ -406,6 +414,113 @@ class TestShortestPotentials:
         assert result.status is Status.INFEASIBLE
         assert set(calls) == {1}
         assert len(calls) <= 10
+
+
+class TestTightFamilies:
+    """Exactly tight data is FEASIBLE, but rounding decides the sign of every
+    ratio-1 cycle, so some draws stay UNDECIDED.  FEASIBLE counts out of 200;
+    from zero labels alone they were 166, 171, 49 and 40.  The single-good
+    family is counted by ``test_tight_single_good_never_raises``."""
+
+    @pytest.mark.parametrize(
+        "seed, divide, count", [(0, False, 187), (1, False, 183), (0, True, 57), (1, True, 45)]
+    )
+    def test_copies(self, seed, divide, count):
+        feasible = 0
+        for _, stats in tight_copies(seed, divide):
+            result = check_harp(stats)
+            assert result.status is not Status.INFEASIBLE
+            if result.status is Status.FEASIBLE:
+                assert verify_certificate(stats, result.certificate)
+                feasible += 1
+        assert feasible == count
+
+
+def _ces(seed, periods, goods, sigma):
+    """Demands of a CES utility with elasticity ``sigma``: homothetic, so FEASIBLE."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 1.5, goods)
+    prices = rng.uniform(0.5, 2.0, (periods, goods))
+    weights = (a / a.sum()) ** sigma * prices**-sigma
+    budget = rng.uniform(0.5, 2.0, (periods, 1))
+    return MarketStatistics(prices, budget * weights / (weights * prices).sum(axis=1, keepdims=True))
+
+
+def _sweep_draw(i):
+    periods = (2, 3, 5, 9, 17, 40, 130, 260)[i % 8]
+    goods = 2 + i % 4
+    rng = np.random.default_rng(i)
+    kind = i % 4
+    if kind == 0:
+        return make_cd(i, periods, goods)
+    if kind == 1:
+        return perturb(make_cd(i, periods, goods), noise=0.02, seed=i)
+    if kind == 2:
+        return _ces(i, periods, goods, (0.1, 0.5, 2.0, 4.0)[i // 4 % 4])
+    return MarketStatistics(*np.exp(rng.normal(0.0, 0.5, (2, periods, goods))))
+
+
+class TestIndexStart:
+    @pytest.mark.parametrize("T", [6, 127, 129, 389])
+    def test_cobb_douglas_settles_in_one_round(self, T, monkeypatch):
+        # the index is exact for Cobb-Douglas data: the first round settles,
+        # on the dense weights (T <= 128) and on the factors alike
+        stats = make_cd(T, periods=T, goods=4)
+        rounds = []
+        real = _kernels.bf_rounds
+
+        def counted(*args):
+            out = real(*args)
+            rounds.append(out[2])
+            return out
+
+        monkeypatch.setattr(_kernels, "bf_rounds", counted)
+        result = check_harp(stats)
+        assert result.status is Status.FEASIBLE
+        assert rounds == [1]
+        assert verify_certificate(stats, result.certificate)
+
+    def test_sweep_matches_the_zero_start(self):
+        # Cobb-Douglas, perturbed Cobb-Douglas, CES and lognormal draws at
+        # T 2-260: the index start never changes a status
+        statuses = set()
+        for i in range(64):
+            stats = _sweep_draw(i)
+            result = check_harp(stats)
+            zero = _decide(stats, build_cross_graph(stats), 1e-9, None)
+            assert result.status is zero.status, i
+            statuses.add(result.status)
+        assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+
+    def test_subnormal_cycle_product_is_not_infeasible(self):
+        # the 8/9 cycle of (0, 1) with p^0 . q^1 = 1e-310, a subnormal: no
+        # range check vouches for it in the index run, so that run is
+        # UNDECIDED and the zero-label run, whose first round checked every
+        # cross expenditure, reports the cycle
+        stats = MarketStatistics(
+            prices=[[1e-160, 1e-160], [2.0, 1.0]], quantities=[[0.25, 0.5], [0.5e-150, 0.5e-150]]
+        )
+        graph = build_cross_graph(stats)
+        start = _index_potentials(graph)
+        assert start is not None
+        from_index = _decide(stats, graph, 1e-9, start)
+        assert from_index.status is Status.UNDECIDED
+        assert from_index.decision.detail == "cycle expenditures leave the normal floats"
+        result = check_harp(stats)
+        assert result.status is Status.INFEASIBLE
+        assert result.cycle.periods == (0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "prices, quantities",
+        [
+            ([[1e200, 1.0], [1.0, 1.0]], [[1e200, 1.0], [1.0, 1.0]]),  # p^0 . q^0 overflows
+            ([[1e-200, 1e-200], [1.0, 1.0]], [[1e-200, 1e-200], [1.0, 1.0]]),  # underflows
+        ],
+    )
+    def test_no_index_outside_the_normal_floats(self, prices, quantities):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _index_potentials(build_cross_graph(MarketStatistics(prices, quantities))) is None
 
 
 def _row_scalings(rows: int, count: int = 24, seed: int = 303):
@@ -477,6 +592,119 @@ class TestVerifyCertificate:
         )
         with np.errstate(all="ignore"):
             assert not verify_certificate(stats, np.array([4 / 7, 3 / 7]))
+
+
+def _reference_verify(stats, lam, tol=1e-9):
+    """The blockwise check before the multipliers were folded into the prices:
+    ``BLOCK_ROWS`` rows of tau at a time, raw products checked, then scaled."""
+    lam = np.asarray(lam, float)
+    if lam.ndim != 1 or lam.size != stats.periods:
+        return False
+    if not 0.0 < lam.min() <= lam.max() < np.inf:
+        return False
+    if abs(float(lam.sum()) - 1.0) > 1e-9:
+        return False
+    p, q = stats.prices, stats.quantities
+    T = lam.size
+    own = np.empty(T)
+    cheapest = np.empty(T)
+    with np.errstate(over="ignore"):
+        for lo in range(0, T, 128):
+            rows = min(128, T - lo)
+            cross = p[lo : lo + rows] @ q.T
+            if not 0.0 < cross.min() <= cross.max() < np.inf:
+                return False
+            cross *= lam[lo : lo + rows, None]
+            own[lo : lo + rows] = cross.reshape(-1)[lo :: T + 1]
+            if lo:
+                np.minimum(cheapest, cross.min(axis=0), out=cheapest)
+            else:
+                cross.min(axis=0, out=cheapest)
+    return bool((own <= cheapest * (1.0 + tol)).all())
+
+
+def _multiplier_cases(stats, rng):
+    """A certificate, random and violated multipliers, and malformed ones."""
+    T = stats.periods
+    result = check_harp(stats)
+    cases = [rng.dirichlet(np.ones(T)), np.full(T, 1.0 / T)]
+    if result.certificate is not None:
+        lam = result.certificate.lambdas
+        violated = lam.copy()
+        violated[T // 2] *= 1.5  # period T // 2 now spends more than some cross bundle costs
+        cases += [lam, violated / violated.sum()]
+    bad = np.full(T, 1.0 / T)
+    nan, zero, double = bad.copy(), bad.copy(), bad * 2.0
+    nan[0], zero[-1] = np.nan, 0.0
+    tiny = bad.copy()
+    tiny[0] = 1e-320  # folded prices below the normal floats
+    return cases + [nan, zero, double, tiny / tiny.sum()]
+
+
+class TestVerifyMatchesReference:
+    @pytest.mark.parametrize("T", [2, 16, 127, 128, 129, 256, 257, 300])
+    @pytest.mark.parametrize("kind", ["cobb-douglas", "uniform"])
+    def test_random_data(self, T, kind):
+        rng = np.random.default_rng(T)
+        stats = make_cd(T, periods=T, goods=4) if kind == "cobb-douglas" else _uniform(rng, T, 4)
+        for lam in _multiplier_cases(stats, rng):
+            assert verify_certificate(stats, lam) == _reference_verify(stats, lam)
+
+    @pytest.mark.parametrize("T", [5, 129, 300])
+    @pytest.mark.parametrize(
+        "row_scale",
+        [
+            (1e160, 1e160),  # every cross expenditure overflows
+            (1e-200, 1e-200),  # every cross expenditure underflows
+            (1e200, 1.0),  # period 0's multiplier is about 1e-200 times the others
+            (1.0, 1e-200),  # period 1's own expenditure is about 1e-200
+        ],
+        ids=["overflow", "underflow", "prices-1e200", "quantities-1e-200"],
+    )
+    def test_extreme_data(self, T, row_scale):
+        # the two factors scale period 0's prices and period 1's quantities,
+        # or, when equal, every period's
+        rng = np.random.default_rng(T)
+        base = make_cd(T, periods=T, goods=3)
+        price_scale, quantity_scale = np.ones((T, 1)), np.ones((T, 1))
+        if row_scale[0] == row_scale[1]:
+            price_scale[:], quantity_scale[:] = row_scale
+        else:
+            price_scale[0], quantity_scale[1] = row_scale
+        stats = MarketStatistics(base.prices * price_scale, base.quantities * quantity_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in _multiplier_cases(stats, rng):
+                assert verify_certificate(stats, lam) == _reference_verify(stats, lam)
+
+    def test_subnormal_folded_prices_keep_their_digits(self):
+        # one good at one subnormal price, so any multipliers within tol of
+        # equal are a certificate.  Each lam_tau p^tau lies within 1e-12 of
+        # 231.5 subnormal steps and rounds to 231 or 232 of them, 0.4% apart,
+        # while the raw products p^tau q^t are normal and keep every digit
+        T = 130
+        rng = np.random.default_rng(5)
+        stats = MarketStatistics(np.full((T, 1), 30_095 * 5e-324), rng.uniform(1e300, 1e301, (T, 1)))
+        lam = 1.0 + 1e-12 * (-1.0) ** np.arange(T)
+        lam /= lam.sum()
+        assert verify_certificate(stats, lam)
+        assert _reference_verify(stats, lam)
+
+    def test_column_bounds_fall_back_to_the_raw_products(self):
+        # each good's largest price and largest quantity sit in different
+        # periods, so the bound sum_i max p_i * max q_i overflows while every
+        # product stays finite: the raw check decides, and the certificate verifies
+        T = 200
+        rng = np.random.default_rng(1)
+        prices = rng.uniform(0.5, 2.0, (T, 2))
+        quantities = rng.uniform(0.5, 2.0, (T, 2))
+        prices[0, 0] = prices[1, 1] = 1e308
+        stats = MarketStatistics(prices, quantities)
+        result = check_harp(stats)
+        for lam in _multiplier_cases(stats, rng):
+            assert verify_certificate(stats, lam) == _reference_verify(stats, lam)
+        if result.certificate is not None:
+            assert verify_certificate(stats, result.certificate)
 
 
 class TestRecoverUtility:
