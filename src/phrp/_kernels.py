@@ -5,7 +5,8 @@ breaking, and relaxes only the edges out of the nodes whose labels last
 dropped.  It runs on a dense weight matrix, or on a factored
 cross-expenditure graph whose T x T weights it never builds: there each
 round ranks a block of targets' candidates with one matrix product and
-takes the winners' labels in logs.
+takes the winners' labels in logs.  A first round there can also check the
+labels it starts from as a PH certificate, from the same products.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class FloatRangeError(ArithmeticError):
     of candidates cannot be trusted."""
 
 
-def bf_rounds(weights, dist, parent, max_rounds, frontier=None):
+def bf_rounds(weights, dist, parent, max_rounds, frontier=None, tol=None):
     """Run Jacobi relaxation rounds on a difference-constraint graph.
 
     ``weights`` is either a dense (T, T) matrix, where edge tau -> t weighs
@@ -80,6 +81,20 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None):
     a subnormal cross expenditure wins; a factor past float64 is +inf and
     loses.  A failed check raises :class:`FloatRangeError`.
 
+    *Certificate check.*  Given ``tol``, the first round on a factored graph
+    with every node in its frontier also checks the labels it started from:
+    before a block's diagonal is masked, it reads each row's own product
+    ``exp(dist[t] - c) p^t . q^t``, and after the argmin it requires that
+    product to be finite and no larger than ``1 + tol`` times the row's
+    winning product.  Those are the products ``lam_tau p^tau . q^t`` of
+    :func:`phrp.harp.verify_certificate` with ``lam = softmax(dist)``, up
+    to the common factor of the softmax; since every own product is finite,
+    so is every factor, and the labels span less than float64's exponent
+    range.  No factor may be subnormal, and the check stops at the first
+    block that fails; the round itself is unchanged.  A winning product
+    below the normal floats still raises, as above.  Dense rounds check
+    nothing.
+
     Args:
         weights: a (T, T) float64 array with 0 or +inf on the diagonal and
             no NaN or -inf anywhere, or a factored graph (see above).
@@ -91,10 +106,14 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None):
             edge out of the other nodes.  The mask is overwritten with the
             nodes that the last round run improved, so it can be passed
             straight to the next call.
+        tol: None, or the relative tolerance of the first round's
+            certificate check (see above).
 
     Returns:
-        (dist, parent, rounds_run, converged): new arrays; ``converged`` is
-        True when the last executed round produced no improvement.
+        (dist, parent, rounds_run, converged, certified): new arrays;
+        ``converged`` is True when the last executed round produced no
+        improvement, and ``certified`` when the first round's certificate
+        check passed on the ``dist`` passed in.
 
     Raises:
         FloatRangeError: a factored round's products left the floats.
@@ -116,12 +135,15 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None):
     arg = np.empty(T, dtype=np.int64)
     rounds_run = 0
     converged = max_rounds == 0
+    certified = False
     for _ in range(max_rounds):
         rounds_run += 1
         if not changed:
             converged = True
             break
-        relax(graph, scratch, dist, improved, changed, best, arg)
+        if relax(graph, scratch, dist, improved, changed, best, arg, tol):
+            certified = True
+        tol = None  # only the labels passed in are checked
         np.less(best, dist, out=improved)
         changed = np.count_nonzero(improved)
         if not changed:
@@ -129,11 +151,12 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None):
             break
         np.copyto(dist, best, where=improved)
         np.copyto(parent, arg, where=improved)
-    return dist, parent, rounds_run, converged
+    return dist, parent, rounds_run, converged, certified
 
 
-def _relax_dense(into, scratch, dist, improved, changed, best, arg):
-    """One round over the incoming-edge rows ``into``: each node's best label and parent."""
+def _relax_dense(into, scratch, dist, improved, changed, best, arg, tol):
+    """One round over the incoming-edge rows ``into``: each node's best label
+    and parent.  It checks no certificate, so it returns False."""
     T = dist.size
     if T <= BLOCK_ROWS or 2 * changed > T:
         sources, offsets = None, dist
@@ -155,21 +178,28 @@ def _relax_dense(into, scratch, dist, improved, changed, best, arg):
         best[lo : lo + BLOCK_ROWS] = block[_ROWS[: block.shape[0]], block_arg]
     if sources is not None:
         arg[:] = sources[arg]  # block positions back to node indices
+    return False
 
 
-def _relax_factored(graph, scratch, dist, improved, changed, best, arg):
-    """One round on a factored graph: each node's best label and parent."""
+def _relax_factored(graph, scratch, dist, improved, changed, best, arg, tol):
+    """One round on a factored graph: each node's best label and parent, and
+    whether the certificate check at ``tol`` (None: no check) passed."""
     P, Q, log_own = graph.prices, graph.quantities, graph.log_own
     T = dist.size
-    raw = changed == T and not dist.any()
+    full = changed == T
+    raw = full and not dist.any()
     # factors past float64 are +inf and lose; a NaN fails every check
     with np.errstate(all="ignore"):
-        if raw:  # every factor is exp(0) = 1: the raw cross expenditures
-            sources, S = None, P
+        if full:
+            sources = None
+            # at zero labels every factor is exp(0) = 1: the raw cross expenditures
+            S = P if raw else np.exp(dist - dist.min())[:, None] * P
         else:
             sources = np.flatnonzero(improved)
             offsets = dist[sources]
             S = np.exp(offsets - offsets.min())[:, None] * P[sources]
+        # a subnormal factor loses digits that q^t can magnify
+        check = tol is not None and full and _TINY <= S.min()
         width = S.shape[0]
         for lo in range(0, T, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, T - lo)
@@ -178,13 +208,19 @@ def _relax_factored(graph, scratch, dist, improved, changed, best, arg):
             if raw and not block.max() < np.inf:
                 raise FloatRangeError("cross expenditures overflow or underflow")
             if sources is None:
-                block.reshape(-1)[lo :: T + 1] = _SELF
+                diagonal = block.reshape(-1)[lo :: T + 1]
+                if check:
+                    own = diagonal.copy()  # exp(dist[t] - c) p^t . q^t
+                diagonal[:] = _SELF
             else:
                 first, last = np.searchsorted(sources, (lo, lo + rows))
                 block[sources[first:last] - lo, np.arange(first, last)] = _SELF
             block_arg = arg[lo : lo + rows]
             block.argmin(axis=1, out=block_arg)
-            best[lo : lo + rows] = block[_ROWS[:rows], block_arg]  # the winning products
+            winners = best[lo : lo + rows]
+            winners[:] = block[_ROWS[:rows], block_arg]  # the winning products
+            if check:  # a masked diagonal wins only where every other product is +inf
+                check = own.max() < np.inf and (own <= winners * (1.0 + tol)).all()
         # each winner is its row's smallest off-diagonal product, and log_own
         # covers the masked diagonal
         if raw:
@@ -198,6 +234,7 @@ def _relax_factored(graph, scratch, dist, improved, changed, best, arg):
         np.log(best, out=best)
     best -= log_own
     best += dist.take(arg)
+    return bool(check)
 
 
 def segment_logsumexp(z, rowptr):

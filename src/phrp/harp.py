@@ -28,6 +28,10 @@ Christensen & Diewert, Economic Journal 92, 1982).  The index is exact for
 Cobb-Douglas utilities, where the first round settles, and second-order
 for any homothetic one (Diewert, J. Econometrics 4, 1976).  Any finite start
 is sound; a run from it that ends UNDECIDED is repeated from zero labels.
+Beyond ``BLOCK_ROWS`` periods the first round's products are also the
+certificate check of its start: when every period's own product is within
+the tolerance of its row's cheapest, FEASIBLE is certified inside that
+round, with no further round and no second pass over the T x T products.
 """
 
 from __future__ import annotations
@@ -289,7 +293,8 @@ def _index_potentials(graph: CrossGraph) -> NDArray[np.float64] | None:
 def shortest_potentials(
     weights: NDArray[np.float64],
     start: NDArray[np.float64] | None = None,
-) -> tuple[NDArray[np.float64] | None, list[int] | None]:
+    tol: float | None = None,
+) -> tuple[NDArray[np.float64] | None, list[int] | None, bool]:
     """Solve ``d_t - d_tau <= w[tau, t]`` or find a negative cycle.
 
     ``weights`` is a (T, T) matrix whose diagonal is 0 or +inf, or a
@@ -300,11 +305,20 @@ def shortest_potentials(
     so a parent cycle is a negative cycle and a settled round satisfies
     every edge.
 
-    Returns (labels, None) once a round settles, else (None, cycle) for the
-    first parent cycle found, in forward order from its smallest period.  A
-    node that improves in round k has a parent that improved in round k - 1,
-    so an improvement in round T + 1 implies a parent cycle: one of the two
-    is always returned.
+    Returns (labels, None, False) once a round settles, else (None, cycle,
+    False) for the first parent cycle found, in forward order from its
+    smallest period.  A node that improves in round k has a parent that
+    improved in round k - 1, so an improvement in round T + 1 implies a
+    parent cycle: one of the two is always returned.
+
+    Given ``tol``, on a graph relaxed on its factors each round with every
+    node in its frontier, the first one above all, checks the labels d it
+    starts from as a certificate (see :func:`phrp._kernels.bf_rounds`):
+    ``lam = softmax(d)`` then meets every cross-expenditure inequality at
+    relative tolerance ``tol``, as :func:`verify_certificate` would find.
+    If that check passes and :func:`_cross_in_range` proves every raw cross
+    expenditure finite and positive, those labels are returned at once as
+    (d, None, True).  Otherwise the rounds go on as without ``tol``.
 
     Each round after the first relaxes only the edges out of the nodes the
     round before improved, a mask the kernel leaves for the next call.  On
@@ -333,12 +347,17 @@ def shortest_potentials(
     parent = np.full(T, -1, dtype=np.int64)
     frontier = np.ones(T, dtype=bool)
     for _ in range(T + 1):
-        dist, parent, _, settled = _kernels.bf_rounds(weights, dist, parent, 1, frontier)
+        labels = dist
+        dist, parent, _, settled, certified = _kernels.bf_rounds(
+            weights, labels, parent, 1, frontier, tol
+        )
+        if certified and _cross_in_range(weights.prices, weights.quantities):
+            return labels, None, True
         if settled:
-            return dist, None
+            return dist, None, False
         cycle = _parent_cycle(parent)
         if cycle is not None:
-            return None, cycle
+            return None, cycle, False
     raise AssertionError("round T + 1 improved, so the parent graph must hold a cycle")
 
 
@@ -348,11 +367,19 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
     The relaxation starts at the price-index potentials of
     :func:`_index_potentials`, which settle in the first round on
     Cobb-Douglas data, unless an own expenditure is not a finite normal
-    float; then it starts from zero labels only.  The index run skips the zero-label round's range checks, so it
-    reports INFEASIBLE only on a cycle whose 2m dot products are all finite
-    normal floats, and a FEASIBLE still passes :func:`verify_certificate`.
-    When it ends UNDECIDED, the decision is made again from zero labels, and
-    that result is returned as it is.
+    float; then it starts from zero labels only.  The index run skips the
+    zero-label round's range checks, so it reports INFEASIBLE only on a
+    cycle whose 2m dot products are all finite normal floats.  When it ends
+    UNDECIDED, the decision is made again from zero labels, and that result
+    is returned as it is.
+
+    A FEASIBLE is certified at relative tolerance ``max(tol, 1e-9)`` in one
+    of two ways.  Above ``BLOCK_ROWS`` periods, a run's first round checks
+    its start labels with the products it forms anyway (see
+    :func:`shortest_potentials`); when they pass, their multipliers are
+    returned at once, with no further round and no call to
+    :func:`verify_certificate`.  Otherwise the settled labels' multipliers
+    must pass :func:`verify_certificate`.
 
     Args:
         stats: market statistics.
@@ -389,8 +416,9 @@ def _decide(
     start: NDArray[np.float64] | None,
 ) -> HarpResult:
     """One relaxation run from ``start`` (None: zero labels) and its verdict."""
+    verify_tol = max(tol, 1e-9)
     try:
-        labels, cycle = shortest_potentials(graph, start)
+        labels, cycle, certified = shortest_potentials(graph, start, verify_tol)
     except _kernels.FloatRangeError as exc:
         # a cross expenditure that over- or underflowed carries no log weight,
         # so neither a certificate nor a cycle ratio over it can be trusted
@@ -400,7 +428,7 @@ def _decide(
         if not lambdas.min() > 0.0:  # labels more than ~745 apart underflow
             return HarpResult(Decision(Status.UNDECIDED, detail="multipliers span beyond float64"))
         cert = AfriatCertificate(lambdas)
-        if not verify_certificate(stats, cert, tol=max(tol, 1e-9)):
+        if not (certified or verify_certificate(stats, cert, tol=verify_tol)):
             return HarpResult(
                 Decision(Status.UNDECIDED, detail="potentials failed re-verification")
             )
@@ -428,7 +456,7 @@ def _decide(
         return HarpResult(
             Decision(
                 Status.INFEASIBLE,
-                detail=f"cycle {witness.periods} has ratio {ratio:.6g} < 1",
+                detail=f"cycle {witness.periods} has ratio {ratio:.17g} < 1",
             ),
             cycle=witness,
         )
@@ -477,6 +505,10 @@ def verify_certificate(
     block, or when the bounds cannot tell, or when a folded price is below
     the normal floats, each block holds the raw products, which are checked
     and then scaled by the multipliers.
+
+    :func:`check_harp` calls it only where the first relaxation round could
+    not certify its start (up to ``BLOCK_ROWS`` periods, or when that
+    round's check failed); that check forms the same folded products.
     """
     lam = cert.lambdas if isinstance(cert, AfriatCertificate) else np.asarray(cert, float)
     if lam.ndim != 1 or lam.size != stats.periods:

@@ -343,14 +343,15 @@ def save_statistics(stats: MarketStatistics, path: str | Path) -> None:
     """Write statistics in the CSV schema read by :func:`load_statistics`.
 
     Values are written with 17 significant digits, enough to round-trip
-    IEEE doubles exactly.
+    IEEE doubles exactly.  The rows end in CRLF, as ``csv.writer`` ends
+    them, and no cell needs quoting, so a block of rows is one format
+    template filled in one call.  Blocks of 128 rows keep the text held at
+    once to a few hundred kB.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(stats.goods))
-        for t in range(stats.periods):
-            row = [f"{v:.17g}" for v in stats.prices[t]] + [
-                f"{v:.17g}" for v in stats.quantities[t]
-            ]
-            writer.writerow(row)
+    row = ",".join(["%.17g"] * (2 * stats.goods)) + "\r\n"
+    p, q = stats.prices, stats.quantities
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_expected_header(stats.goods)) + "\r\n")
+        for lo in range(0, stats.periods, 128):
+            block = np.hstack([p[lo : lo + 128], q[lo : lo + 128]])
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))

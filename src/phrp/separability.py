@@ -214,7 +214,7 @@ def _resolve_mus(
     inst: SeparabilityInstance, lam: NDArray[np.float64]
 ) -> NDArray[np.float64] | None:
     """Exact mu recovery for fixed lam via shortest-path potentials."""
-    labels, _ = shortest_potentials(_mu_log_weights(inst, lam))
+    labels = shortest_potentials(_mu_log_weights(inst, lam))[0]
     if labels is None:
         return None
     return np.exp(labels - labels.max())
@@ -352,7 +352,7 @@ def check_separability(part: PartitionedStatistics) -> SeparabilityResult:
             decision=Decision(
                 Status.INFEASIBLE,
                 detail="y-block fails PH rationalizability: "
-                f"cycle {periods} with ratio {y_res.cycle.cycle_ratio:.6g}"
+                f"cycle {periods} with ratio {y_res.cycle.cycle_ratio:.17g}"
                 if y_res.cycle
                 else "y-block fails PH rationalizability",
             ),

@@ -129,15 +129,26 @@ def subnormal_quantity() -> MarketStatistics:
     return MarketStatistics(prices=prices, quantities=quantities)
 
 
-def tight_copies(seed: int = 0, divide: bool = False, count: int = 200):
-    """(i, data) for i < count: ``make_cd(i, 6, 3)`` followed by a copy of its
-    periods with prices times f ~ U(0.3, 3), drawn from ``seed``, and
+def near_tight_two_cycle(shortfall: float) -> MarketStatistics:
+    """Two periods whose 0 -> 1 -> 0 cycle has ratio 1 - shortfall, to rounding.
+
+    With prices (1, 1) and (2, 1) and quantities (x, 1) and (1, 1), the ratio
+    is (2/3) (2x + 1) / (x + 1).
+    """
+    r = 1.5 * (1.0 - shortfall)
+    x = (r - 1.0) / (2.0 - r)
+    return MarketStatistics(prices=[[1.0, 1.0], [2.0, 1.0]], quantities=[[x, 1.0], [1.0, 1.0]])
+
+
+def tight_copies(seed: int = 0, divide: bool = False, count: int = 200, periods: int = 6):
+    """(i, data) for i < count: ``make_cd(i, periods, 3)`` followed by a copy
+    of its periods with prices times f ~ U(0.3, 3), drawn from ``seed``, and
     quantities divided by f when ``divide``.  Each copy closes cycles of
     ratio exactly 1, so the data are exactly tight."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        base = make_cd(i, 6, 3)
-        f = rng.uniform(0.3, 3.0, (6, 1))
+        base = make_cd(i, periods, 3)
+        f = rng.uniform(0.3, 3.0, (periods, 1))
         quantities = base.quantities / f if divide else base.quantities
         yield i, MarketStatistics(
             prices=np.vstack([base.prices, base.prices * f]),

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import extreme_scales, make_cd, rescaled_infeasible, tight_copies
-from phrp import _kernels
+from conftest import (
+    extreme_scales,
+    make_cd,
+    near_tight_two_cycle,
+    rescaled_infeasible,
+    tight_copies,
+)
+from phrp import _kernels, harp
 from phrp.datagen import perturb
 from phrp.harp import (
     AfriatCertificate,
@@ -18,6 +25,7 @@ from phrp.harp import (
     _decide,
     _index_potentials,
     _parent_cycle,
+    _softmax,
     build_cross_graph,
     check_harp,
     recover_utility,
@@ -113,7 +121,7 @@ class TestCrossGraph:
         weights = graph.log_weights()
         assert weights[0, 1] + weights[1, 0] == 0.0
         assert _cycle_stats([0, 1], graph)[0] == 0.0
-        dist, _, _, converged = _kernels.bf_rounds(
+        dist, _, _, converged, _ = _kernels.bf_rounds(
             graph, np.zeros(2), np.full(2, -1, dtype=np.int64), 3
         )
         assert converged
@@ -175,6 +183,16 @@ class TestCheckHarp:
         assert result.status is Status.UNDECIDED
         # a coarser tolerance cannot flip it to INFEASIBLE either
         assert check_harp(stats, tol=1e-3).status is not Status.INFEASIBLE
+
+    def test_infeasible_detail_shows_the_shortfall(self):
+        # the 2-cycle's ratio is 1 - 2e-9: INFEASIBLE at tol 1e-9, and the
+        # detail prints the ratio with every digit, not as "1 < 1"
+        stats = near_tight_two_cycle(2e-9)
+        result = check_harp(stats)
+        assert result.status is Status.INFEASIBLE
+        assert 1.0 - result.cycle.cycle_ratio == pytest.approx(2e-9, rel=1e-6)
+        shown = re.fullmatch(r"cycle \(0, 1, 0\) has ratio (\S+) < 1", result.decision.detail)
+        assert float(shown.group(1)) == result.cycle.cycle_ratio
 
     def test_tight_single_good_never_raises(self):
         # every cycle ratio is exactly 1, so rounding decides the sign of a
@@ -264,7 +282,7 @@ def _labels_or_cycle(weights):
     """Run the routine and check that it returned exactly one valid witness.
 
     A cross graph is checked against its materialised weights."""
-    labels, cycle = shortest_potentials(weights)
+    labels, cycle, _ = shortest_potentials(weights)
     if not isinstance(weights, np.ndarray):
         weights = weights.log_weights()
     T = weights.shape[0]
@@ -365,8 +383,8 @@ class TestShortestPotentials:
         stats = make_cd(T, periods=T, goods=5) if kind == "cobb-douglas" else _uniform(rng, T, 5)
         graph = build_cross_graph(stats)
         weights = graph.log_weights()
-        labels, cycle = shortest_potentials(graph)
-        want_labels, want_cycle = shortest_potentials(weights)
+        labels, cycle, _ = shortest_potentials(graph)
+        want_labels, want_cycle, _ = shortest_potentials(weights)
         assert (cycle is None) == (want_cycle is None) == (kind == "cobb-douglas")
         if cycle is None:
             np.testing.assert_allclose(labels, want_labels, rtol=0.0, atol=1e-12)
@@ -379,8 +397,8 @@ class TestShortestPotentials:
     @pytest.mark.parametrize("seed", range(6))
     def test_c_and_f_order_agree(self, seed, diagonal):
         weights = _dense_graph(seed, diagonal)
-        labels_c, cycle_c = shortest_potentials(np.ascontiguousarray(weights))
-        labels_f, cycle_f = shortest_potentials(np.asfortranarray(weights))
+        labels_c, cycle_c, _ = shortest_potentials(np.ascontiguousarray(weights))
+        labels_f, cycle_f, _ = shortest_potentials(np.asfortranarray(weights))
         assert cycle_c == cycle_f
         if cycle_c is None:
             assert labels_c.tobytes() == labels_f.tobytes()
@@ -388,7 +406,7 @@ class TestShortestPotentials:
             assert labels_c is None and labels_f is None
 
     def test_single_node(self):
-        labels, cycle = shortest_potentials(np.zeros((1, 1)))
+        labels, cycle, _ = shortest_potentials(np.zeros((1, 1)))
         np.testing.assert_array_equal(labels, [0.0])
         assert cycle is None
 
@@ -397,7 +415,7 @@ class TestShortestPotentials:
         weights = np.full((4, 4), 1.0)
         np.fill_diagonal(weights, 0.0)
         weights[1, 3] = weights[3, 2] = weights[2, 1] = -1.0
-        assert shortest_potentials(weights) == (None, [1, 3, 2])
+        assert shortest_potentials(weights) == (None, [1, 3, 2], False)
 
     def test_stops_at_first_cycle(self, monkeypatch):
         # the harp-infeasible benchmark instances: T = 300, ten uniform goods
@@ -435,6 +453,20 @@ class TestTightFamilies:
                 feasible += 1
         assert feasible == count
 
+    @pytest.mark.parametrize("divide", [False, True])
+    def test_copies_above_one_block_certify_at_once(self, divide):
+        # T = 130 and 200: the first round from the index checks its labels
+        # at tol, which ratio-1 cycles pass whichever sign rounding gives
+        # their weights; the rounds and re-verification alone left 37 (no
+        # divide) and 40 (divide) of these 40 UNDECIDED
+        for periods in (65, 100):
+            for i, stats in tight_copies(0, divide, 20, periods):
+                result = check_harp(stats)
+                assert result.status is Status.FEASIBLE, (periods, i)
+                index = _index_potentials(build_cross_graph(stats))
+                assert result.certificate.lambdas.tobytes() == _softmax(index).tobytes()
+                assert verify_certificate(stats, result.certificate)
+
 
 def _ces(seed, periods, goods, sigma):
     """Demands of a CES utility with elasticity ``sigma``: homothetic, so FEASIBLE."""
@@ -446,8 +478,9 @@ def _ces(seed, periods, goods, sigma):
     return MarketStatistics(prices, budget * weights / (weights * prices).sum(axis=1, keepdims=True))
 
 
-def _sweep_draw(i):
-    periods = (2, 3, 5, 9, 17, 40, 130, 260)[i % 8]
+def _sweep_draw(i, periods=None):
+    if periods is None:
+        periods = (2, 3, 5, 9, 17, 40, 130, 260)[i % 8]
     goods = 2 + i % 4
     rng = np.random.default_rng(i)
     kind = i % 4
@@ -491,6 +524,47 @@ class TestIndexStart:
             assert result.status is zero.status, i
             statuses.add(result.status)
         assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+
+    def test_sweep_above_one_block_matches_the_zero_start(self):
+        # each kind at T 129-700, where the first round from the index also
+        # checks the certificate: still the zero-label run's status
+        statuses = set()
+        for i in range(16):
+            stats = _sweep_draw(i, periods=(129, 200, 389, 700)[i // 4])
+            result = check_harp(stats)
+            zero = _decide(stats, build_cross_graph(stats), 1e-9, None)
+            assert result.status is zero.status, i
+            if result.status is Status.FEASIBLE:
+                assert verify_certificate(stats, result.certificate), i
+            statuses.add(result.status)
+        assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+
+    @pytest.mark.parametrize("T", [129, 389, 1000])
+    def test_first_round_is_the_certificate_check(self, T, monkeypatch):
+        # above one block the settling round from the index certifies its
+        # labels itself: no second round and no verify_certificate pass
+        stats = make_cd(T, periods=T, goods=4)
+        rounds = []
+        real = _kernels.bf_rounds
+
+        def counted(*args):
+            out = real(*args)
+            rounds.append(out[2])
+            return out
+
+        def second_pass(*args, **kwargs):
+            raise AssertionError("verify_certificate was called")
+
+        monkeypatch.setattr(_kernels, "bf_rounds", counted)
+        monkeypatch.setattr(harp, "verify_certificate", second_pass)
+        result = check_harp(stats)
+        monkeypatch.undo()
+        assert result.status is Status.FEASIBLE
+        assert rounds == [1]
+        assert result.certificate.lambdas.tobytes() == _softmax(
+            _index_potentials(build_cross_graph(stats))
+        ).tobytes()
+        assert verify_certificate(stats, result.certificate)
 
     def test_subnormal_cycle_product_is_not_infeasible(self):
         # the 8/9 cycle of (0, 1) with p^0 . q^1 = 1e-310, a subnormal: no
@@ -639,6 +713,109 @@ def _multiplier_cases(stats, rng):
     tiny = bad.copy()
     tiny[0] = 1e-320  # folded prices below the normal floats
     return cases + [nan, zero, double, tiny / tiny.sum()]
+
+
+def _first_round_certifies(stats, lam):
+    """Whether a run from the labels ``log(lam)`` is certified in its first round.
+
+    check_harp starts from labels only where every own expenditure is a
+    finite normal float; elsewhere the later rounds' logs may warn."""
+    start = np.log(lam)
+    try:
+        with np.errstate(all="ignore"):
+            labels, _, certified = shortest_potentials(build_cross_graph(stats), start, 1e-9)
+    except _kernels.FloatRangeError:
+        return False
+    return certified and labels is start  # a later round would return its own labels
+
+
+def _finite_label_cases(stats, rng):
+    """The multiplier cases of ``_multiplier_cases`` that have finite logs."""
+    return [lam for lam in _multiplier_cases(stats, rng) if 0.0 < lam.min() < np.inf]
+
+
+class TestFirstRoundMatchesVerify:
+    """The first factored round's certificate check gives the bool of
+    ``verify_certificate`` on the same labels, on the data of
+    ``TestVerifyMatchesReference``; up to one block it never certifies."""
+
+    @pytest.mark.parametrize("T", [127, 128, 129, 256, 257, 300])
+    @pytest.mark.parametrize("kind", ["cobb-douglas", "uniform"])
+    def test_random_data(self, T, kind):
+        rng = np.random.default_rng(T)
+        stats = make_cd(T, periods=T, goods=4) if kind == "cobb-douglas" else _uniform(rng, T, 4)
+        verdicts = set()
+        for lam in _finite_label_cases(stats, rng):
+            merged = _first_round_certifies(stats, lam)
+            if T <= _kernels.BLOCK_ROWS:
+                assert not merged
+            else:
+                assert merged == verify_certificate(stats, _softmax(np.log(lam)))
+            verdicts.add(merged)
+        want = {False, True} if T > _kernels.BLOCK_ROWS and kind == "cobb-douglas" else {False}
+        assert verdicts == want
+
+    @pytest.mark.parametrize("T", [129, 300])
+    @pytest.mark.parametrize(
+        "row_scale",
+        [(1e160, 1e160), (1e-200, 1e-200), (1e200, 1.0), (1.0, 1e-200)],
+        ids=["overflow", "underflow", "prices-1e200", "quantities-1e-200"],
+    )
+    def test_extreme_data(self, T, row_scale):
+        rng = np.random.default_rng(T)
+        base = make_cd(T, periods=T, goods=3)
+        price_scale, quantity_scale = np.ones((T, 1)), np.ones((T, 1))
+        if row_scale[0] == row_scale[1]:
+            price_scale[:], quantity_scale[:] = row_scale
+        else:
+            price_scale[0], quantity_scale[1] = row_scale
+        stats = MarketStatistics(base.prices * price_scale, base.quantities * quantity_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in _finite_label_cases(stats, rng):
+                merged = _first_round_certifies(stats, lam)
+                assert merged == verify_certificate(stats, _softmax(np.log(lam)))
+
+    def test_subnormal_factors_certify_nothing(self):
+        # one good at the subnormal price 1000 * 5e-324 in every period, and
+        # labels 2e-6 apart: their factors exp(d - c) p would round to equal
+        # subnormals and hide the violation that verify_certificate finds
+        T = 130
+        rng = np.random.default_rng(5)
+        stats = MarketStatistics(np.full((T, 1), 1000 * 5e-324), rng.uniform(1e300, 1e301, (T, 1)))
+        lam = 1.0 + 1e-6 * (-1.0) ** np.arange(T)
+        lam /= lam.sum()
+        assert not verify_certificate(stats, lam)
+        assert not _first_round_certifies(stats, lam)
+
+    def test_overflowed_cross_expenditure_certifies_nothing(self):
+        # Cobb-Douglas data, so the index labels pass the check, but p^0 . q^1
+        # = 1e300 * 1e10 * ... overflows: only the raw products' range check
+        # keeps that from a certificate, as in verify_certificate
+        T = 130
+        rng = np.random.default_rng(7)
+        prices = rng.uniform(0.5, 2.0, (T, 3))
+        prices[0, 0], prices[1, 0] = 1e300, 1e-10
+        stats = MarketStatistics(prices, rng.uniform(0.5, 2.0, (T, 1)) * [0.2, 0.3, 0.5] / prices)
+        lam = _softmax(_index_potentials(build_cross_graph(stats)))
+        assert not verify_certificate(stats, lam)
+        assert not _first_round_certifies(stats, lam)
+        with np.errstate(over="ignore"):
+            result = check_harp(stats)
+        assert result.status is Status.UNDECIDED
+        assert result.decision.detail == "cross expenditures overflow or underflow"
+
+    def test_column_bounds_keep_the_second_pass(self):
+        # the column bounds overflow while every product stays finite: the
+        # first round cannot vouch for the raw products, so it certifies
+        # nothing and verify_certificate decides
+        T = 200
+        rng = np.random.default_rng(1)
+        prices = rng.uniform(0.5, 2.0, (T, 2))
+        prices[0, 0] = prices[1, 1] = 1e308
+        stats = MarketStatistics(prices, rng.uniform(0.5, 2.0, (T, 2)))
+        for lam in _finite_label_cases(stats, rng):
+            assert not _first_round_certifies(stats, lam)
 
 
 class TestVerifyMatchesReference:

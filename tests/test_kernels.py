@@ -47,7 +47,7 @@ class TestBfRounds:
         for diagonal in DIAGONALS:
             w = np.abs(_random_graph(0, 6))
             np.fill_diagonal(w, diagonal)
-            dist, parent, rounds, converged = _kernels.bf_rounds(
+            dist, parent, rounds, converged, _ = _kernels.bf_rounds(
                 w, np.zeros(6), np.full(6, -1, dtype=np.int64), 6
             )
             assert converged
@@ -59,7 +59,7 @@ class TestBfRounds:
             w = np.full((2, 2), diagonal)
             w[0, 1] = -1.0
             w[1, 0] = 0.5
-            dist, parent, rounds, converged = _kernels.bf_rounds(
+            dist, parent, rounds, converged, _ = _kernels.bf_rounds(
                 w, np.zeros(2), np.full(2, -1, dtype=np.int64), 2
             )
             assert not converged
@@ -69,7 +69,7 @@ class TestBfRounds:
         for diagonal in DIAGONALS:
             w = np.abs(_random_graph(3, 5) * 0.1) + 0.01  # no negative cycles
             np.fill_diagonal(w, diagonal)
-            dist, parent, rounds, converged = _kernels.bf_rounds(
+            dist, parent, rounds, converged, _ = _kernels.bf_rounds(
                 w, np.zeros(5), np.full(5, -1, dtype=np.int64), 5
             )
             assert converged
@@ -122,7 +122,7 @@ class TestBfRounds:
                     got = _kernels.bf_rounds(w, dist0, parent0, max_rounds)
                     np.testing.assert_array_equal(got[0], want[0])
                     np.testing.assert_array_equal(got[1], want[1])
-                    assert got[2:] == want[2:]
+                    assert got[2:4] == want[2:]
 
     @pytest.mark.parametrize("T", [1, 127, 128, 129, 389])
     @pytest.mark.parametrize("diagonal", DIAGONALS)
@@ -156,7 +156,7 @@ class TestBfRounds:
                     got = _kernels.bf_rounds(w, *got[:2], 1, frontier)
                     np.testing.assert_array_equal(got[0], step[0])
                     np.testing.assert_array_equal(got[1], step[1])
-                    assert got[2:] == step[2:]
+                    assert got[2:4] == step[2:]
                     # the kernel leaves the round's improved nodes in the mask
                     np.testing.assert_array_equal(frontier, step[0] < want[0])
                     want = step
@@ -168,7 +168,7 @@ class TestBfRounds:
                 # a settled graph's empty frontier relaxes nothing
                 assert not frontier.any()
                 again = _kernels.bf_rounds(w, *got[:2], 5, frontier)
-                assert again[2:] == (1, True)
+                assert again[2:4] == (1, True)
                 assert again[0].tobytes() == got[0].tobytes()
                 np.testing.assert_array_equal(again[1], got[1])
         # rounds on both sides of the dense/gather switch wherever it can gather
@@ -181,7 +181,7 @@ class TestBfRounds:
         frontier = np.zeros(T, dtype=bool)
         start = (np.zeros(T), np.full(T, -1, dtype=np.int64))
         assert not _kernels.bf_rounds(w, *start, 1)[3]
-        dist, parent, rounds, converged = _kernels.bf_rounds(w, *start, 3, frontier)
+        dist, parent, rounds, converged, _ = _kernels.bf_rounds(w, *start, 3, frontier)
         assert (rounds, converged) == (1, True)
         np.testing.assert_array_equal(dist, start[0])
         np.testing.assert_array_equal(parent, start[1])
@@ -246,7 +246,7 @@ class TestFactoredRounds:
                 break
         assert got[0].tobytes() == whole[0].tobytes()
         assert got[1].tobytes() == whole[1].tobytes()
-        assert (rounds, got[3]) == whole[2:]
+        assert (rounds, got[3]) == whole[2:4]
 
     @pytest.mark.parametrize("T", [4, 300])
     def test_overflowed_cross_expenditure_raises(self, T):
@@ -270,6 +270,32 @@ class TestFactoredRounds:
         assert not _kernels.bf_rounds(graph, np.zeros(3), parent, 1)[3]
         with pytest.raises(_kernels.FloatRangeError, match="scaled cross expenditures underflow"):
             _kernels.bf_rounds(graph, np.array([0.0, -1.0, 0.0]), parent, 1)
+
+
+    @pytest.mark.parametrize("T", [129, 389])
+    def test_certificate_check_reads_the_start(self, T):
+        # Cobb-Douglas labels log(u(q^t) / (p^t . q^t)) are a certificate, and
+        # multiplying one period's multiplier by e breaks one of its inequalities
+        graph = _factors(T, T, "cobb-douglas")
+        p, q = graph.prices, graph.quantities
+        labels = -np.log(np.einsum("ti,ti->t", p, q))
+        shares = p[0] * q[0] / (p[0] @ q[0])
+        labels += np.log(np.prod(q**shares, axis=1))
+        parent = np.full(T, -1, dtype=np.int64)
+        assert _kernels.bf_rounds(graph, labels, parent, 1, None, 1e-9)[4]
+        assert not _kernels.bf_rounds(graph, labels, parent, 1)[4]
+        raised = labels.copy()
+        raised[T - 1] += 1.0
+        assert not _kernels.bf_rounds(graph, raised, parent, 1, None, 1e-9)[4]
+
+    def test_overflowed_own_products_certify_nothing(self):
+        # every product overflows, so each row's winner is its masked
+        # diagonal: an own product of +inf proves nothing
+        graph = CrossGraph(np.full((3, 2), 1e200), np.full((3, 2), 1e200))
+        parent = np.full(3, -1, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            got = _kernels.bf_rounds(graph, np.array([0.0, 1.0, 2.0]), parent, 1, None, 1e-9)
+        assert not got[4]
 
 
 def test_segment_logsumexp_reference():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import warnings
 
 import numpy as np
@@ -159,6 +160,37 @@ def test_save_load_roundtrip(tmp_path_factory, periods, goods, seed):
     loaded = load_statistics(path)
     np.testing.assert_array_equal(loaded.prices, stats.prices)
     np.testing.assert_array_equal(loaded.quantities, stats.quantities)
+
+
+def _reference_save(stats, path):
+    """The row-by-row ``csv.writer`` form of ``save_statistics``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_expected_header(stats.goods))
+        for t in range(stats.periods):
+            writer.writerow(
+                [f"{v:.17g}" for v in stats.prices[t]] + [f"{v:.17g}" for v in stats.quantities[t]]
+            )
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        MarketStatistics(
+            np.exp(np.random.default_rng(4).normal(0.0, 3.0, (300, 7))),
+            np.exp(np.random.default_rng(5).normal(0.0, 3.0, (300, 7))),
+        ),
+        MarketStatistics(
+            [[5e-324, 3e-310, 1e-200, 1.7976931348623157e308], [1.0, 0.1, 1.0 / 3.0, 2.0**-1022]],
+            [[1e308, 2.5, 1e-300, 7.0], [3e-310, 1e15, 123456789.0, 5e-324]],
+        ),
+    ],
+    ids=["seeded", "extremes"],
+)
+def test_save_matches_the_csv_writer_byte_for_byte(tmp_path, stats):
+    _reference_save(stats, tmp_path / "reference.csv")
+    save_statistics(stats, tmp_path / "saved.csv")
+    assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestValidation:

@@ -12,6 +12,7 @@ from conftest import (
     assert_program_rows,
     embed_bad_y_block,
     make_nested,
+    near_tight_two_cycle,
     perturbed_nested,
     rescaled_infeasible,
 )
@@ -197,6 +198,22 @@ class TestCheckSeparability:
         assert res.decision.detail == (
             "phase I ended at violation 2.500e-11 inside the ambiguity band"
         )
+
+    def test_y_cycle_detail_shows_the_shortfall(self):
+        # goods 0-1 are the q-block and goods 2-3 the y-block, whose 2-cycle
+        # has ratio 1 - 2e-9: the detail prints every digit of it
+        y = near_tight_two_cycle(2e-9)
+        stats = MarketStatistics(
+            prices=np.hstack([[[1.0, 2.0], [2.0, 1.0]], y.prices]),
+            quantities=np.hstack([[[1.0, 1.0], [1.0, 1.0]], y.quantities]),
+        )
+        res = check_separability(partition(stats, [2, 3]))
+        assert res.status is Status.INFEASIBLE
+        prefix = "y-block fails PH rationalizability: cycle (0, 1, 0) with ratio "
+        assert res.decision.detail.startswith(prefix)
+        ratio = float(res.decision.detail[len(prefix) :])
+        assert ratio == check_harp(y).cycle.cycle_ratio
+        assert 1.0 - ratio == pytest.approx(2e-9, rel=1e-6)
 
     @pytest.mark.parametrize("bound", [1e-5, 1e-4, 1e3])
     def test_main_solve_bound_is_no_rejection(self, monkeypatch, bound):
