@@ -5,8 +5,10 @@ breaking, and relaxes only the edges out of the nodes whose labels last
 dropped.  It runs on a dense weight matrix, or on a factored
 cross-expenditure graph whose T x T weights it never builds: there each
 round ranks a block of targets' candidates with one matrix product and
-takes the winners' labels in logs.  A first round there can also check the
-labels it starts from as a PH certificate, from the same products.
+takes the winners' labels in logs.  A round there that relaxes every node
+can also check the labels it starts from as a PH certificate, from the same
+products; :func:`folds_normally` and :func:`certifies` hold that check's
+rules, which :func:`phrp.harp.verify_certificate` applies too.
 """
 
 from __future__ import annotations
@@ -26,6 +28,19 @@ _SELF = np.finfo(np.float64).max
 class FloatRangeError(ArithmeticError):
     """A factored round's products left the positive floats, so its ranking
     of candidates cannot be trusted."""
+
+
+def folds_normally(folded):
+    """True if every folded price ``lam_tau p^tau`` is a normal float: a
+    subnormal one has lost digits that q^t can magnify."""
+    return _TINY <= folded.min()
+
+
+def certifies(own, cheapest, tol):
+    """True if every own product ``lam_t p^t . q^t`` is finite and at most
+    ``1 + tol`` times its row's cheapest product ``lam_tau p^tau . q^t``:
+    the PH certificate inequalities of a block of rows t."""
+    return own.max() < np.inf and bool((own <= cheapest * (1.0 + tol)).all())
 
 
 def bf_rounds(weights, dist, parent, max_rounds, frontier=None, tol=None):
@@ -81,19 +96,19 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None, tol=None):
     a subnormal cross expenditure wins; a factor past float64 is +inf and
     loses.  A failed check raises :class:`FloatRangeError`.
 
-    *Certificate check.*  Given ``tol``, the first round on a factored graph
-    with every node in its frontier also checks the labels it started from:
+    *Certificate check.*  Given ``tol``, a round on a factored graph with
+    every node in its frontier also checks the labels it starts from:
     before a block's diagonal is masked, it reads each row's own product
     ``exp(dist[t] - c) p^t . q^t``, and after the argmin it requires that
     product to be finite and no larger than ``1 + tol`` times the row's
-    winning product.  Those are the products ``lam_tau p^tau . q^t`` of
-    :func:`phrp.harp.verify_certificate` with ``lam = softmax(dist)``, up
-    to the common factor of the softmax; since every own product is finite,
-    so is every factor, and the labels span less than float64's exponent
-    range.  No factor may be subnormal, and the check stops at the first
-    block that fails; the round itself is unchanged.  A winning product
-    below the normal floats still raises, as above.  Dense rounds check
-    nothing.
+    winning product (:func:`certifies`).  Those are the products ``lam_tau
+    p^tau . q^t`` of :func:`phrp.harp.verify_certificate` with ``lam =
+    softmax(dist)``, up to the common factor of the softmax; since every own
+    product is finite, so is every factor, and the labels span less than
+    float64's exponent range.  No factor may be subnormal
+    (:func:`folds_normally`), and the check stops at the first block that
+    fails; the round itself is unchanged.  A winning product below the
+    normal floats still raises, as above.  Dense rounds check nothing.
 
     Args:
         weights: a (T, T) float64 array with 0 or +inf on the diagonal and
@@ -106,14 +121,15 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None, tol=None):
             edge out of the other nodes.  The mask is overwritten with the
             nodes that the last round run improved, so it can be passed
             straight to the next call.
-        tol: None, or the relative tolerance of the first round's
+        tol: None, or the relative tolerance of each edge in the
             certificate check (see above).
 
     Returns:
         (dist, parent, rounds_run, converged, certified): new arrays;
         ``converged`` is True when the last executed round produced no
-        improvement, and ``certified`` when the first round's certificate
-        check passed on the ``dist`` passed in.
+        improvement, and ``certified`` when the last round run passed the
+        certificate check on the labels it started from, which are the
+        ``dist`` passed in when ``max_rounds`` is 1.
 
     Raises:
         FloatRangeError: a factored round's products left the floats.
@@ -141,9 +157,7 @@ def bf_rounds(weights, dist, parent, max_rounds, frontier=None, tol=None):
         if not changed:
             converged = True
             break
-        if relax(graph, scratch, dist, improved, changed, best, arg, tol):
-            certified = True
-        tol = None  # only the labels passed in are checked
+        certified = relax(graph, scratch, dist, improved, changed, best, arg, tol)
         np.less(best, dist, out=improved)
         changed = np.count_nonzero(improved)
         if not changed:
@@ -198,8 +212,7 @@ def _relax_factored(graph, scratch, dist, improved, changed, best, arg, tol):
             sources = np.flatnonzero(improved)
             offsets = dist[sources]
             S = np.exp(offsets - offsets.min())[:, None] * P[sources]
-        # a subnormal factor loses digits that q^t can magnify
-        check = tol is not None and full and _TINY <= S.min()
+        check = tol is not None and full and folds_normally(S)
         width = S.shape[0]
         for lo in range(0, T, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, T - lo)
@@ -220,7 +233,7 @@ def _relax_factored(graph, scratch, dist, improved, changed, best, arg, tol):
             winners = best[lo : lo + rows]
             winners[:] = block[_ROWS[:rows], block_arg]  # the winning products
             if check:  # a masked diagonal wins only where every other product is +inf
-                check = own.max() < np.inf and (own <= winners * (1.0 + tol)).all()
+                check = certifies(own, winners, tol)
         # each winner is its row's smallest off-diagonal product, and log_own
         # covers the masked diagonal
         if raw:

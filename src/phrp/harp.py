@@ -30,8 +30,10 @@ for any homothetic one (Diewert, J. Econometrics 4, 1976).  Any finite start
 is sound; a run from it that ends UNDECIDED is repeated from zero labels.
 Beyond ``BLOCK_ROWS`` periods the first round's products are also the
 certificate check of its start: when every period's own product is within
-the tolerance of its row's cheapest, FEASIBLE is certified inside that
-round, with no further round and no second pass over the T x T products.
+``tol / T`` of its row's cheapest, FEASIBLE is certified inside that round,
+with no further round and no second pass over the T x T products.  Every
+cycle then has ratio at least ``(1 + tol/T)^-T > 1 - tol``, so none that
+the rounds could go on to find would be INFEASIBLE.
 """
 
 from __future__ import annotations
@@ -315,7 +317,8 @@ def shortest_potentials(
     node in its frontier, the first one above all, checks the labels d it
     starts from as a certificate (see :func:`phrp._kernels.bf_rounds`):
     ``lam = softmax(d)`` then meets every cross-expenditure inequality at
-    relative tolerance ``tol``, as :func:`verify_certificate` would find.
+    relative tolerance ``tol``, as :func:`verify_certificate` would find at
+    that tolerance.
     If that check passes and :func:`_cross_in_range` proves every raw cross
     expenditure finite and positive, those labels are returned at once as
     (d, None, True).  Otherwise the rounds go on as without ``tol``.
@@ -373,13 +376,16 @@ def check_harp(stats: MarketStatistics, tol: float = 1e-9) -> HarpResult:
     UNDECIDED, the decision is made again from zero labels, and that result
     is returned as it is.
 
-    A FEASIBLE is certified at relative tolerance ``max(tol, 1e-9)`` in one
-    of two ways.  Above ``BLOCK_ROWS`` periods, a run's first round checks
-    its start labels with the products it forms anyway (see
-    :func:`shortest_potentials`); when they pass, their multipliers are
-    returned at once, with no further round and no call to
-    :func:`verify_certificate`.  Otherwise the settled labels' multipliers
-    must pass :func:`verify_certificate`.
+    A FEASIBLE is certified in one of two ways.  Above ``BLOCK_ROWS``
+    periods, a run's first round checks its start labels with the products
+    it forms anyway (see :func:`shortest_potentials`), at relative
+    tolerance ``tol / T`` on each edge; when they pass, their multipliers
+    are returned at once, with no further round and no call to
+    :func:`verify_certificate`.  Since every cycle of m <= T edges then has
+    ratio at least ``(1 + tol/T)^-m > 1 - tol``, no cycle the rounds could
+    go on to find would be reported INFEASIBLE.  Otherwise the settled
+    labels' multipliers must pass :func:`verify_certificate` at
+    ``max(tol, 1e-9)``.
 
     Args:
         stats: market statistics.
@@ -416,9 +422,8 @@ def _decide(
     start: NDArray[np.float64] | None,
 ) -> HarpResult:
     """One relaxation run from ``start`` (None: zero labels) and its verdict."""
-    verify_tol = max(tol, 1e-9)
     try:
-        labels, cycle, certified = shortest_potentials(graph, start, verify_tol)
+        labels, cycle, certified = shortest_potentials(graph, start, tol / stats.periods)
     except _kernels.FloatRangeError as exc:
         # a cross expenditure that over- or underflowed carries no log weight,
         # so neither a certificate nor a cycle ratio over it can be trusted
@@ -428,7 +433,7 @@ def _decide(
         if not lambdas.min() > 0.0:  # labels more than ~745 apart underflow
             return HarpResult(Decision(Status.UNDECIDED, detail="multipliers span beyond float64"))
         cert = AfriatCertificate(lambdas)
-        if not (certified or verify_certificate(stats, cert, tol=verify_tol)):
+        if not (certified or verify_certificate(stats, cert, tol=max(tol, 1e-9))):
             return HarpResult(
                 Decision(Status.UNDECIDED, detail="potentials failed re-verification")
             )
@@ -508,7 +513,9 @@ def verify_certificate(
 
     :func:`check_harp` calls it only where the first relaxation round could
     not certify its start (up to ``BLOCK_ROWS`` periods, or when that
-    round's check failed); that check forms the same folded products.
+    round's check failed).  That check forms the same folded products and
+    applies the same rules, :func:`phrp._kernels.folds_normally` and
+    :func:`phrp._kernels.certifies`, at check_harp's ``tol / T`` per edge.
     """
     lam = cert.lambdas if isinstance(cert, AfriatCertificate) else np.asarray(cert, float)
     if lam.ndim != 1 or lam.size != stats.periods:
@@ -522,7 +529,7 @@ def verify_certificate(
     folded = None  # lam_tau p^tau, where the raw products need not be formed
     if T > _kernels.BLOCK_ROWS and _cross_in_range(p, q):
         folded = lam[:, None] * p
-        if not folded.min() >= _TINY:  # a subnormal factor loses digits q^t can magnify
+        if not _kernels.folds_normally(folded):
             folded = None
     rows = min(_kernels.BLOCK_ROWS, T)
     scratch = np.empty(rows * T)
@@ -537,7 +544,7 @@ def verify_certificate(
             else:
                 np.matmul(q[lo : lo + rows], folded.T, out=block)
             own = block.reshape(-1)[lo :: T + 1]  # the entries (t, t)
-            if not (own <= block.min(axis=1) * (1.0 + tol)).all():
+            if not _kernels.certifies(own, block.min(axis=1), tol):
                 return False
     return True
 

@@ -456,7 +456,7 @@ class TestTightFamilies:
     @pytest.mark.parametrize("divide", [False, True])
     def test_copies_above_one_block_certify_at_once(self, divide):
         # T = 130 and 200: the first round from the index checks its labels
-        # at tol, which ratio-1 cycles pass whichever sign rounding gives
+        # at tol / T per edge, which ratio-1 cycles pass whichever sign rounding gives
         # their weights; the rounds and re-verification alone left 37 (no
         # divide) and 40 (divide) of these 40 UNDECIDED
         for periods in (65, 100):
@@ -466,6 +466,32 @@ class TestTightFamilies:
                 index = _index_potentials(build_cross_graph(stats))
                 assert result.certificate.lambdas.tobytes() == _softmax(index).tobytes()
                 assert verify_certificate(stats, result.certificate)
+
+    @pytest.mark.parametrize("periods", [65, 100])
+    def test_cycle_below_a_loose_tol_stays_infeasible(self, periods):
+        # a tight copy of make_cd(0, periods, 3) whose copy of period 5 has
+        # the price and quantity of its good of budget share near 0.3 both
+        # raised by 30%: the 2-cycle (5, periods + 5) falls about 1.6% short
+        # of 1, but the index splits that shortfall so that every edge is
+        # within 1%.  Checked at tol = 1e-2 per edge, the index labels would
+        # pass, and FEASIBLE would hide a cycle below 1 - tol; at tol / T
+        # they fail, and the rounds go on to find it
+        base = make_cd(0, periods, 3)
+        f = np.random.default_rng(0).uniform(0.3, 3.0, (periods, 1))
+        prices = np.vstack([base.prices, base.prices * f])
+        quantities = np.vstack([base.quantities, base.quantities])
+        k = periods + 5
+        shares = prices[k] * quantities[k] / (prices[k] @ quantities[k])
+        good = int(np.argmin(abs(shares - 0.3)))
+        prices[k, good] *= 1.3
+        quantities[k, good] *= 1.3
+        stats = MarketStatistics(prices, quantities)
+        graph = build_cross_graph(stats)
+        assert shortest_potentials(graph, _index_potentials(graph), 1e-2)[2]
+        result = check_harp(stats, tol=1e-2)
+        assert result.status is Status.INFEASIBLE
+        assert result.cycle.periods == (5, k, 5)
+        assert result.cycle.cycle_ratio < 1.0 - 1e-2
 
 
 def _ces(seed, periods, goods, sigma):
@@ -715,15 +741,16 @@ def _multiplier_cases(stats, rng):
     return cases + [nan, zero, double, tiny / tiny.sum()]
 
 
-def _first_round_certifies(stats, lam):
-    """Whether a run from the labels ``log(lam)`` is certified in its first round.
+def _first_round_certifies(stats, lam, edge_tol):
+    """Whether a run from the labels ``log(lam)`` is certified in its first
+    round, at relative tolerance ``edge_tol`` on each edge.
 
     check_harp starts from labels only where every own expenditure is a
     finite normal float; elsewhere the later rounds' logs may warn."""
     start = np.log(lam)
     try:
         with np.errstate(all="ignore"):
-            labels, _, certified = shortest_potentials(build_cross_graph(stats), start, 1e-9)
+            labels, _, certified = shortest_potentials(build_cross_graph(stats), start, edge_tol)
     except _kernels.FloatRangeError:
         return False
     return certified and labels is start  # a later round would return its own labels
@@ -736,21 +763,23 @@ def _finite_label_cases(stats, rng):
 
 class TestFirstRoundMatchesVerify:
     """The first factored round's certificate check gives the bool of
-    ``verify_certificate`` on the same labels, on the data of
+    ``verify_certificate`` on the same labels at the same tolerance, that of
+    check_harp's check, ``tol / T`` per edge, on the data of
     ``TestVerifyMatchesReference``; up to one block it never certifies."""
 
     @pytest.mark.parametrize("T", [127, 128, 129, 256, 257, 300])
     @pytest.mark.parametrize("kind", ["cobb-douglas", "uniform"])
-    def test_random_data(self, T, kind):
+    @pytest.mark.parametrize("tol", [1e-9, 1e-2])
+    def test_random_data(self, T, kind, tol):
         rng = np.random.default_rng(T)
         stats = make_cd(T, periods=T, goods=4) if kind == "cobb-douglas" else _uniform(rng, T, 4)
         verdicts = set()
         for lam in _finite_label_cases(stats, rng):
-            merged = _first_round_certifies(stats, lam)
+            merged = _first_round_certifies(stats, lam, tol / T)
             if T <= _kernels.BLOCK_ROWS:
                 assert not merged
             else:
-                assert merged == verify_certificate(stats, _softmax(np.log(lam)))
+                assert merged == verify_certificate(stats, _softmax(np.log(lam)), tol=tol / T)
             verdicts.add(merged)
         want = {False, True} if T > _kernels.BLOCK_ROWS and kind == "cobb-douglas" else {False}
         assert verdicts == want
@@ -773,8 +802,8 @@ class TestFirstRoundMatchesVerify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lam in _finite_label_cases(stats, rng):
-                merged = _first_round_certifies(stats, lam)
-                assert merged == verify_certificate(stats, _softmax(np.log(lam)))
+                merged = _first_round_certifies(stats, lam, 1e-9 / T)
+                assert merged == verify_certificate(stats, _softmax(np.log(lam)), tol=1e-9 / T)
 
     def test_subnormal_factors_certify_nothing(self):
         # one good at the subnormal price 1000 * 5e-324 in every period, and
@@ -785,8 +814,8 @@ class TestFirstRoundMatchesVerify:
         stats = MarketStatistics(np.full((T, 1), 1000 * 5e-324), rng.uniform(1e300, 1e301, (T, 1)))
         lam = 1.0 + 1e-6 * (-1.0) ** np.arange(T)
         lam /= lam.sum()
-        assert not verify_certificate(stats, lam)
-        assert not _first_round_certifies(stats, lam)
+        assert not verify_certificate(stats, lam, tol=1e-9 / T)
+        assert not _first_round_certifies(stats, lam, 1e-9 / T)
 
     def test_overflowed_cross_expenditure_certifies_nothing(self):
         # Cobb-Douglas data, so the index labels pass the check, but p^0 . q^1
@@ -798,8 +827,8 @@ class TestFirstRoundMatchesVerify:
         prices[0, 0], prices[1, 0] = 1e300, 1e-10
         stats = MarketStatistics(prices, rng.uniform(0.5, 2.0, (T, 1)) * [0.2, 0.3, 0.5] / prices)
         lam = _softmax(_index_potentials(build_cross_graph(stats)))
-        assert not verify_certificate(stats, lam)
-        assert not _first_round_certifies(stats, lam)
+        assert not verify_certificate(stats, lam, tol=1e-9 / T)
+        assert not _first_round_certifies(stats, lam, 1e-9 / T)
         with np.errstate(over="ignore"):
             result = check_harp(stats)
         assert result.status is Status.UNDECIDED
@@ -815,7 +844,7 @@ class TestFirstRoundMatchesVerify:
         prices[0, 0] = prices[1, 1] = 1e308
         stats = MarketStatistics(prices, rng.uniform(0.5, 2.0, (T, 2)))
         for lam in _finite_label_cases(stats, rng):
-            assert not _first_round_certifies(stats, lam)
+            assert not _first_round_certifies(stats, lam, 1e-9 / T)
 
 
 class TestVerifyMatchesReference:

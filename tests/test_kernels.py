@@ -284,6 +284,8 @@ class TestFactoredRounds:
         parent = np.full(T, -1, dtype=np.int64)
         assert _kernels.bf_rounds(graph, labels, parent, 1, None, 1e-9)[4]
         assert not _kernels.bf_rounds(graph, labels, parent, 1)[4]
+        # every round given tol checks its start; here the first passes and settles
+        assert _kernels.bf_rounds(graph, labels, parent, 3, None, 1e-9)[2:] == (1, True, True)
         raised = labels.copy()
         raised[T - 1] += 1.0
         assert not _kernels.bf_rounds(graph, raised, parent, 1, None, 1e-9)[4]
@@ -296,6 +298,15 @@ class TestFactoredRounds:
         with np.errstate(all="ignore"):
             got = _kernels.bf_rounds(graph, np.array([0.0, 1.0, 2.0]), parent, 1, None, 1e-9)
         assert not got[4]
+
+    def test_row_rule(self):
+        # own products within 1 + tol of the row's cheapest, and finite
+        cheapest = np.array([1.0, 2.0])
+        assert _kernels.certifies(np.array([1.0, 2.0 * (1.0 + 1e-3)]), cheapest, 1e-3)
+        assert not _kernels.certifies(np.array([1.0, 2.0 * (1.0 + 2e-3)]), cheapest, 1e-3)
+        assert not _kernels.certifies(np.array([np.inf, 1.0]), np.array([np.inf, 2.0]), 1e-3)
+        assert _kernels.folds_normally(np.array([[2.3e-308, 1.0]]))
+        assert not _kernels.folds_normally(np.array([[2.2e-308, 1.0]]))
 
 
 def test_segment_logsumexp_reference():
